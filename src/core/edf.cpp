@@ -65,7 +65,7 @@ struct EdfArrays {
 /// array-of-structs loop, so timelines and verdicts are bit-identical
 /// (tests/test_edf.cpp pins them).
 bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleItem> items,
-                  ResourceTimeline* record, std::unordered_map<TaskUid, Time>* completion) {
+                  ResourceTimeline* record, std::vector<TaskCompletion>* completion) {
     RMWP_STAGE_SCOPE(obs::Stage::edf_simulate);
     bool feasible = true;
     Time cur = now;
@@ -85,7 +85,7 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
     };
 
     auto finish = [&](TaskUid uid, Time abs_deadline, Time end) {
-        if (completion != nullptr) (*completion)[uid] = end;
+        if (completion != nullptr) completion->push_back(TaskCompletion{uid, end});
         if (end > abs_deadline + kEps) feasible = false;
     };
 
@@ -351,7 +351,7 @@ std::size_t insert_demand_ordered(std::vector<ScheduleItem>& items, const Schedu
 
 ResourceScheduleResult schedule_resource(const Resource& resource, Time now,
                                          std::span<const ScheduleItem> items,
-                                         std::unordered_map<TaskUid, Time>* completion) {
+                                         std::vector<TaskCompletion>* completion) {
     ResourceScheduleResult result;
     result.feasible = simulate_edf(resource, now, items, &result.timeline, completion);
     return result;
@@ -413,9 +413,19 @@ bool resource_feasible_sorted(const Resource& resource, Time now,
 WindowSchedule build_window_schedule(const Platform& platform, Time now,
                                      std::span<const ScheduleItem> items) {
     WindowSchedule schedule;
+    build_window_schedule_into(platform, now, items, schedule);
+    return schedule;
+}
+
+void build_window_schedule_into(const Platform& platform, Time now,
+                                std::span<const ScheduleItem> items, WindowSchedule& schedule) {
     schedule.start = now;
     schedule.feasible = true;
+    // Clear in place: the timelines and the completion table keep their
+    // capacity, so a steady-state re-plan allocates nothing.
     schedule.per_resource.resize(platform.size());
+    for (ResourceTimeline& timeline : schedule.per_resource) timeline.segments.clear();
+    schedule.completion.clear();
 
     // Operating points of one DVFS core share the core's timeline: group by
     // the physical anchor, so two tasks on different frequency levels of
@@ -436,12 +446,18 @@ WindowSchedule build_window_schedule(const Platform& platform, Time now,
             RMWP_EXPECT(grouped[i].empty());
             continue;
         }
-        auto result =
-            schedule_resource(platform.resource(i), now, grouped[i], &schedule.completion);
-        schedule.per_resource[i] = std::move(result.timeline);
-        schedule.feasible = schedule.feasible && result.feasible;
+        if (grouped[i].empty()) continue; // an idle resource: empty and feasible
+        const bool feasible = simulate_edf(platform.resource(i), now, grouped[i],
+                                           &schedule.per_resource[i], &schedule.completion);
+        schedule.feasible = schedule.feasible && feasible;
     }
-    return schedule;
+    std::sort(schedule.completion.begin(), schedule.completion.end(),
+              [](const TaskCompletion& a, const TaskCompletion& b) { return a.uid < b.uid; });
+    // One entry per uid: completion_of's binary search relies on it.
+    RMWP_ENSURE(std::adjacent_find(schedule.completion.begin(), schedule.completion.end(),
+                                   [](const TaskCompletion& a, const TaskCompletion& b) {
+                                       return a.uid == b.uid;
+                                   }) == schedule.completion.end());
 }
 
 } // namespace rmwp

@@ -34,7 +34,7 @@ struct ResourceScheduleResult {
 
 [[nodiscard]] ResourceScheduleResult schedule_resource(
     const Resource& resource, Time now, std::span<const ScheduleItem> items,
-    std::unordered_map<TaskUid, Time>* completion = nullptr);
+    std::vector<TaskCompletion>* completion = nullptr);
 
 /// Verdict of the O(k log k) demand-bound prefilter that guards the full
 /// EDF simulation on the admission hot path.
@@ -102,5 +102,11 @@ std::size_t insert_demand_ordered(std::vector<ScheduleItem>& items, const Schedu
 /// size are a precondition violation.
 [[nodiscard]] WindowSchedule build_window_schedule(const Platform& platform, Time now,
                                                    std::span<const ScheduleItem> items);
+
+/// build_window_schedule into an existing schedule, reusing its timeline
+/// and completion-table capacity (the simulator's per-decision re-plan).
+/// The result equals build_window_schedule's field by field.
+void build_window_schedule_into(const Platform& platform, Time now,
+                                std::span<const ScheduleItem> items, WindowSchedule& schedule);
 
 } // namespace rmwp

@@ -7,9 +7,11 @@
 namespace rmwp {
 
 std::optional<Time> WindowSchedule::completion_of(TaskUid uid) const {
-    const auto it = completion.find(uid);
-    if (it == completion.end()) return std::nullopt;
-    return it->second;
+    const auto it = std::lower_bound(
+        completion.begin(), completion.end(), uid,
+        [](const TaskCompletion& entry, TaskUid key) { return entry.uid < key; });
+    if (it == completion.end() || it->uid != uid) return std::nullopt;
+    return it->time;
 }
 
 std::vector<Segment> WindowSchedule::segments_of(TaskUid uid) const {

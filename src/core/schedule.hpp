@@ -7,7 +7,6 @@
 
 #include <limits>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/task_state.hpp"
@@ -50,11 +49,22 @@ struct Segment {
     Time end = 0.0;
 
     [[nodiscard]] Time duration() const noexcept { return end - start; }
+    [[nodiscard]] bool operator==(const Segment&) const = default;
 };
 
 /// Time-ordered, non-overlapping segments on one resource.
 struct ResourceTimeline {
     std::vector<Segment> segments;
+
+    [[nodiscard]] bool operator==(const ResourceTimeline&) const = default;
+};
+
+/// One task's final finish time in a planned window.
+struct TaskCompletion {
+    TaskUid uid = 0;
+    Time time = 0.0;
+
+    [[nodiscard]] bool operator==(const TaskCompletion&) const = default;
 };
 
 /// One task's scheduling input to the EDF engine.
@@ -75,13 +85,17 @@ struct WindowSchedule {
     Time start = 0.0;
     bool feasible = false;
     std::vector<ResourceTimeline> per_resource;
-    std::unordered_map<TaskUid, Time> completion; ///< final finish time per task
+    /// Final finish time per task, sorted by uid (one entry per uid).
+    std::vector<TaskCompletion> completion;
 
     /// Completion time of a task; empty if the task was not scheduled.
     [[nodiscard]] std::optional<Time> completion_of(TaskUid uid) const;
 
     /// All segments of one task across resources, in time order.
     [[nodiscard]] std::vector<Segment> segments_of(TaskUid uid) const;
+
+    /// Field-by-field (bitwise on times) equality.
+    [[nodiscard]] bool operator==(const WindowSchedule&) const = default;
 };
 
 } // namespace rmwp

@@ -20,11 +20,11 @@ namespace {
 constexpr double kFractionEps = 1e-9;
 constexpr double kTimeEps = 1e-6;
 
+// Heap event kinds; task completions run off the completion cursor.
 constexpr std::uint32_t kArrivalEvent = 0;
-constexpr std::uint32_t kCompletionEvent = 1;
-constexpr std::uint32_t kActivationEvent = 2;
-constexpr std::uint32_t kFaultOnsetEvent = 3;
-constexpr std::uint32_t kFaultRecoveryEvent = 4;
+constexpr std::uint32_t kActivationEvent = 1;
+constexpr std::uint32_t kFaultOnsetEvent = 2;
+constexpr std::uint32_t kFaultRecoveryEvent = 3;
 
 constexpr const char* kCheckpointContext = "engine checkpoint";
 
@@ -138,12 +138,39 @@ void SimEngine::stream_shed(const Request& request, [[maybe_unused]] TaskUid uid
 #endif
 }
 
+/// Dispatch pending events in (time, sequence) order — the heap merged with
+/// the completion cursor — while `due(time)` holds for the earliest one.
+/// Cursor entries carry the sequences their heap events would have had at
+/// the rebuild, so at equal times a heap event goes first iff it was
+/// scheduled before that rebuild: the FIFO order of the former per-task
+/// completion events.
+template <typename Due>
+void SimEngine::drain_events(Due due) {
+    while (true) {
+        const bool have_completion = next_completion_ < completions_.size();
+        if (!events_.empty() &&
+            (!have_completion ||
+             events_.precedes(completions_[next_completion_].time, completion_seq_))) {
+            if (!due(events_.next_time())) return;
+            dispatch(events_.pop());
+        } else if (have_completion) {
+            const PendingCompletion next = completions_[next_completion_];
+            if (!due(next.time)) return;
+            ++next_completion_;
+            events_.mark_dispatched(next.time);
+            complete(next.time, next.uid);
+        } else {
+            return;
+        }
+    }
+}
+
 void SimEngine::drain_until(Time t) {
-    while (!events_.empty() && events_.next_time() < t) dispatch(events_.pop());
+    drain_events([t](Time time) { return time < t; });
 }
 
 void SimEngine::drain_through(Time t) {
-    while (!events_.empty() && events_.next_time() <= t) dispatch(events_.pop());
+    drain_events([t](Time time) { return time <= t; });
 }
 
 void SimEngine::set_fault_schedule(const FaultSchedule* schedule, Time from,
@@ -166,7 +193,7 @@ TraceResult SimEngine::finish_stream() {
 }
 
 TraceResult SimEngine::finalize() {
-    while (!events_.empty()) dispatch(events_.pop());
+    drain_events([](Time) { return true; });
     advance(std::numeric_limits<Time>::infinity());
     RMWP_ENSURE(active_.empty());
 #ifdef RMWP_OBS
@@ -219,27 +246,30 @@ void SimEngine::dispatch(const Event& event) {
         }
     } else if (event.kind == kActivationEvent) {
         handle_activation(event.time);
-    } else if (event.kind == kFaultOnsetEvent || event.kind == kFaultRecoveryEvent) {
+    } else {
+        RMWP_EXPECT(event.kind == kFaultOnsetEvent || event.kind == kFaultRecoveryEvent);
         handle_fault(event.time, event.kind == kFaultOnsetEvent,
                      static_cast<std::size_t>(event.payload));
-    } else {
-        advance(event.time);
-        // The completion event is only valid for the current plan
-        // generation, so the task must really be gone by now.
-        if (options_.validate) RMWP_ENSURE(find_task(event.payload) == nullptr);
-#ifdef RMWP_AUDIT
-        // Completion audit: the executed window must still satisfy
-        // every structural invariant it satisfied when planned.
-        // (Window-only: task states have advanced past the items.)
-        if (options_.audit)
-            run_audit(auditor_.audit_window(platform_, audited_now_, audited_items_, schedule_,
-                                            &health_));
-#endif
-        // With execution-time variation the completion was (likely)
-        // earlier than the WCET plan assumed: re-plan immediately so
-        // queued tasks reclaim the slack.
-        if (options_.execution_time_factor_min < 1.0) rebuild(event.time);
     }
+}
+
+void SimEngine::complete(Time time, [[maybe_unused]] TaskUid uid) {
+#ifdef RMWP_AUDIT
+    // Completion audit: the window executing up to this completion must
+    // still satisfy every structural invariant it satisfied when planned.
+    // (Window-only: task states have advanced past the items.)  It runs
+    // before the advance, which cuts the plan of the retiring task.
+    if (options_.audit)
+        run_audit(auditor_.audit_window(platform_, schedule_.start, items_, schedule_, &health_));
+#endif
+    advance(time);
+    // The cursor is only valid for the current plan, so the task must
+    // really be gone by now.
+    if (options_.validate) RMWP_ENSURE(find_task(uid) == nullptr);
+    // With execution-time variation the completion was (likely) earlier
+    // than the WCET plan assumed: re-plan immediately so queued tasks
+    // reclaim the slack.
+    if (options_.execution_time_factor_min < 1.0) rebuild(time);
 }
 
 ActiveTask* SimEngine::find_task(TaskUid uid) {
@@ -248,9 +278,23 @@ ActiveTask* SimEngine::find_task(TaskUid uid) {
     return nullptr;
 }
 
-double SimEngine::actual_work(TaskUid uid) const {
-    const auto it = actual_work_.find(uid);
-    return it == actual_work_.end() ? 1.0 : it->second;
+/// Erase every task for which `retire(task)` holds — called once per task,
+/// in order — together with its hidden work, keeping actual_work_
+/// index-aligned with active_.
+template <typename Retire>
+void SimEngine::retire_if(Retire retire) {
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < active_.size(); ++k) {
+        if (retire(active_[k])) continue;
+        if (kept != k) {
+            active_[kept] = active_[k];
+            actual_work_[kept] = actual_work_[k];
+        }
+        ++kept;
+    }
+    active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(kept), active_.end());
+    actual_work_.erase(actual_work_.begin() + static_cast<std::ptrdiff_t>(kept),
+                       actual_work_.end());
 }
 
 void SimEngine::charge_energy(double energy) {
@@ -264,7 +308,9 @@ void SimEngine::advance(Time to) {
     for (ResourceId i = 0; i < platform_.size(); ++i) {
         if (schedule_.per_resource.size() <= i) break;
         const bool non_preemptable = !platform_.resource(i).preemptable();
-        for (const Segment& segment : schedule_.per_resource[i].segments) {
+        std::vector<Segment>& segments = schedule_.per_resource[i].segments;
+        for (std::size_t s = 0; s < segments.size(); ++s) {
+            Segment& segment = segments[s];
             if (segment.start >= to) break;
             // Only the part of the segment inside (from, to] is new work;
             // earlier advances already consumed the prefix.
@@ -318,7 +364,7 @@ void SimEngine::advance(Time to) {
             // whenever the residual work, expressed in time, is below the
             // same kTimeEps used for deadline comparisons.
             const double done_before = 1.0 - task->remaining_fraction;
-            const double actual = actual_work(task->uid);
+            const double actual = actual_work_[static_cast<std::size_t>(task - active_.data())];
             const double fraction_eps = std::max(kFractionEps, kTimeEps / wcet);
             Time completed_at = -1.0;
             if (done_before + fraction >= actual - fraction_eps) {
@@ -331,6 +377,21 @@ void SimEngine::advance(Time to) {
 
             if (completed_at >= 0.0) {
                 task->remaining_fraction = 0.0;
+                // The task retires here, so the rest of its plan is dead:
+                // cut it off, or a later advance before the next rebuild
+                // would execute a task that no longer exists.  (Completion
+                // tolerance can retire a task up to kTimeEps short of its
+                // segment end, during another task's completion.)
+                if (executed_until < segment.end) {
+                    segment.end = executed_until;
+                    const TaskUid uid = segment.uid;
+                    const auto later = segments.begin() + static_cast<std::ptrdiff_t>(s + 1);
+                    segments.erase(std::remove_if(later, segments.end(),
+                                                  [uid](const Segment& next) {
+                                                      return next.uid == uid;
+                                                  }),
+                                   segments.end());
+                }
                 ++result_.completed;
                 RMWP_TRACE(options_.sink, completed_at, obs::EventKind::complete, segment.uid,
                            static_cast<std::int64_t>(i));
@@ -353,13 +414,7 @@ void SimEngine::advance(Time to) {
             }
         }
     }
-    std::erase_if(active_, [this](const ActiveTask& task) {
-        if (!task.finished()) return false;
-        // Drop the hidden-work entry with its task so the map stays
-        // O(active set) over unbounded streams.
-        actual_work_.erase(task.uid);
-        return true;
-    });
+    retire_if([](const ActiveTask& task) { return task.finished(); });
     clock_ = std::max(clock_, std::min(to, schedule_horizon()));
 }
 
@@ -716,9 +771,8 @@ void SimEngine::rescue_activation(Time now) {
 
     for (const TaskUid uid : decision.aborted) {
         const std::size_t before = active_.size();
-        std::erase_if(active_, [uid](const ActiveTask& task) { return task.uid == uid; });
+        retire_if([uid](const ActiveTask& task) { return task.uid == uid; });
         RMWP_ENSURE(active_.size() + 1 == before);
-        actual_work_.erase(uid);
         ++result_.fault_aborted;
         RMWP_TRACE(options_.sink, now, obs::EventKind::rescue_abort, uid);
 #ifdef RMWP_OBS
@@ -777,18 +831,19 @@ void SimEngine::apply(const Decision& decision, const ActiveTask& candidate,
             ActiveTask admitted = candidate;
             admitted.resource = assignment.resource;
             active_.push_back(admitted);
+            double work = 1.0;
             if (options_.execution_time_factor_min < 1.0) {
                 // Batch mode draws sequentially (the historical contract the
                 // determinism tests pin down); streaming mode derives an
                 // independent stream per uid, so a checkpoint needs no RNG
                 // state — replaying uid j always sees the same draw.
-                actual_work_[admitted.uid] =
-                    streaming_
-                        ? Rng(options_.execution_seed)
-                              .derive(admitted.uid)
-                              .uniform(options_.execution_time_factor_min, 1.0)
-                        : execution_rng_.uniform(options_.execution_time_factor_min, 1.0);
+                work = streaming_
+                           ? Rng(options_.execution_seed)
+                                 .derive(admitted.uid)
+                                 .uniform(options_.execution_time_factor_min, 1.0)
+                           : execution_rng_.uniform(options_.execution_time_factor_min, 1.0);
             }
+            actual_work_.push_back(work);
             continue;
         }
         ActiveTask* task = find_task(assignment.uid);
@@ -822,30 +877,31 @@ void SimEngine::apply(const Decision& decision, const ActiveTask& candidate,
     }
 }
 
-WindowSchedule SimEngine::plan_current(Time now, std::vector<ScheduleItem>* items_out) const {
-    std::vector<ScheduleItem> items;
-    items.reserve(active_.size());
+/// Re-plan the active set at `now` into items_ and schedule_, in place.
+void SimEngine::plan_current(Time now) {
+    items_.clear();
     Time horizon = now;
     for (const ActiveTask& task : active_) {
-        items.push_back(
+        items_.push_back(
             make_schedule_item(task, catalog_.type(task.type), task.resource, now, &health_));
         horizon = std::max(horizon, task.absolute_deadline);
     }
     if (reservations_ != nullptr && !reservations_->empty())
-        reservations_->append_blocks(now, horizon, items);
-    if (items_out != nullptr) *items_out = items;
-    return build_window_schedule(platform_, now, items);
+        reservations_->append_blocks(now, horizon, items_);
+    build_window_schedule_into(platform_, now, items_, schedule_);
 }
 
+/// Runs only inside a decision stall, between the wake-up advance and the
+/// decision's rebuild, so re-planning into schedule_ here is safe: nothing
+/// executes the intermediate plans.
 void SimEngine::abort_doomed(Time now) {
     while (true) {
-        std::vector<ScheduleItem> items;
-        const WindowSchedule schedule = plan_current(now, &items);
-        if (schedule.feasible) return;
+        plan_current(now);
+        if (schedule_.feasible) return;
         const std::size_t before = active_.size();
         std::vector<TaskUid> doomed;
-        std::erase_if(active_, [&](const ActiveTask& task) {
-            const auto completion = schedule.completion_of(task.uid);
+        retire_if([&](const ActiveTask& task) {
+            const auto completion = schedule_.completion_of(task.uid);
             const bool late =
                 completion.has_value() && *completion > task.absolute_deadline + kTimeEps;
             if (late) doomed.push_back(task.uid);
@@ -856,12 +912,12 @@ void SimEngine::abort_doomed(Time now) {
             // infeasibility is a *reservation* made late (e.g. a pinned
             // task overrunning into a reserved window after a stall).
             // Kill one adaptive occupant of each violated resource.
-            for (const ScheduleItem& item : items) {
+            for (const ScheduleItem& item : items_) {
                 if (!item.reserved) continue;
-                const auto completion = schedule.completion_of(item.uid);
+                const auto completion = schedule_.completion_of(item.uid);
                 if (!completion || *completion <= item.abs_deadline + kTimeEps) continue;
                 bool removed = false;
-                std::erase_if(active_, [&](const ActiveTask& task) {
+                retire_if([&](const ActiveTask& task) {
                     if (removed || task.resource != item.resource) return false;
                     removed = true;
                     doomed.push_back(task.uid);
@@ -870,7 +926,6 @@ void SimEngine::abort_doomed(Time now) {
             }
             RMWP_ENSURE(active_.size() < before);
         }
-        for (const TaskUid uid : doomed) actual_work_.erase(uid);
         result_.aborted += before - active_.size();
 #ifdef RMWP_OBS
         if (options_.sink != nullptr) {
@@ -883,14 +938,17 @@ void SimEngine::abort_doomed(Time now) {
     }
 }
 
-Time SimEngine::actual_completion(const ActiveTask& task, Time planned) const {
-    const double actual = actual_work(task.uid);
+Time SimEngine::actual_completion(const ActiveTask& task, double actual, Time planned) const {
     if (actual >= 1.0) return planned;
     const TaskType& type = catalog_.type(task.type);
     double work_left = std::max(0.0, actual - (1.0 - task.remaining_fraction)) *
                        type.wcet(task.resource) * health_.throttle(task.resource);
     double overhead_left = task.pending_overhead;
-    for (const Segment& segment : schedule_.segments_of(task.uid)) {
+    // Every segment of the task lies on its resource's physical timeline
+    // (build_window_schedule groups by physical anchor), in time order.
+    const ResourceId timeline = platform_.resource(task.resource).physical();
+    for (const Segment& segment : schedule_.per_resource[timeline].segments) {
+        if (segment.uid != task.uid) continue;
         double duration = segment.duration();
         const double overhead = std::min(overhead_left, duration);
         overhead_left -= overhead;
@@ -907,23 +965,34 @@ void SimEngine::rebuild(Time now) {
 #ifdef RMWP_OBS
     if (options_.sink != nullptr) ins_.plan_rebuild->add();
 #endif
+    plan_current(now);
 #ifdef RMWP_AUDIT
-    schedule_ = plan_current(now, &audited_items_);
-    audited_now_ = now;
-    if (options_.audit) run_audit(audit_schedule());
-#else
-    schedule_ = plan_current(now);
+    if (options_.audit) {
+        // The in-place re-plan must equal a from-scratch one exactly.
+        RMWP_ENSURE(schedule_ == build_window_schedule(platform_, now, items_));
+        run_audit(audit_schedule());
+    }
 #endif
     if (options_.validate) RMWP_ENSURE(schedule_.feasible);
 
-    events_.cancel_group(generation_);
-    ++generation_;
-    for (const ActiveTask& task : active_) {
+    // The new plan supersedes every pending completion: refill the cursor
+    // stably by time, so equal times keep active_ order.
+    completions_.clear();
+    next_completion_ = 0;
+    const auto by_time = [](const PendingCompletion& a, const PendingCompletion& b) {
+        return a.time < b.time;
+    };
+    for (std::size_t k = 0; k < active_.size(); ++k) {
+        const ActiveTask& task = active_[k];
         const auto completion = schedule_.completion_of(task.uid);
         RMWP_ENSURE(completion.has_value());
-        events_.schedule(actual_completion(task, *completion), kCompletionEvent, task.uid,
-                         generation_);
+        const PendingCompletion entry{actual_completion(task, actual_work_[k], *completion),
+                                      task.uid};
+        RMWP_ENSURE(!std::isnan(entry.time));
+        completions_.insert(
+            std::upper_bound(completions_.begin(), completions_.end(), entry, by_time), entry);
     }
+    completion_seq_ = events_.next_sequence();
 }
 
 void SimEngine::save_stream(std::ostream& os) {
@@ -944,14 +1013,15 @@ void SimEngine::save_stream(std::ostream& os) {
     }
 
     os << active_.size() << '\n';
-    for (const ActiveTask& task : active_) {
+    for (std::size_t k = 0; k < active_.size(); ++k) {
+        const ActiveTask& task = active_[k];
         os << task.uid << ' ' << task.type << ' ' << task.resource << ' '
            << (task.started ? 1 : 0) << ' ' << (task.pinned ? 1 : 0) << '\n';
         put_f64(os, task.arrival);
         put_f64(os, task.absolute_deadline);
         put_f64(os, task.remaining_fraction);
         put_f64(os, task.pending_overhead);
-        put_f64(os, actual_work(task.uid));
+        put_f64(os, actual_work_[k]);
     }
 
     // TraceResult accumulators, declared order (host-time fields included:
@@ -1010,10 +1080,13 @@ void SimEngine::restore_stream(std::istream& is, const FaultSchedule* faults) {
         task.remaining_fraction = get_f64(is, kCheckpointContext);
         task.pending_overhead = get_f64(is, kCheckpointContext);
         const double work = get_f64(is, kCheckpointContext);
-        if (work < 1.0) actual_work_[task.uid] = work;
         if (task.type >= catalog_.size() || task.resource >= platform_.size())
             throw std::runtime_error("engine checkpoint: task references unknown type/resource");
+        // A fraction of WCET; NaN fails both comparisons.
+        if (!(work >= 0.0 && work <= 1.0))
+            throw std::runtime_error("engine checkpoint: task work outside [0, 1]");
         active_.push_back(task);
+        actual_work_.push_back(work);
     }
 
     result_.requests = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
@@ -1060,10 +1133,9 @@ void SimEngine::restore_stream(std::istream& is, const FaultSchedule* faults) {
 
 #ifdef RMWP_AUDIT
 AuditReport SimEngine::audit_schedule() const {
-    AuditReport report = auditor_.audit_items(platform_, catalog_, audited_now_, active_,
-                                              audited_items_, &health_);
-    report.merge(
-        auditor_.audit_window(platform_, audited_now_, audited_items_, schedule_, &health_));
+    AuditReport report =
+        auditor_.audit_items(platform_, catalog_, schedule_.start, active_, items_, &health_);
+    report.merge(auditor_.audit_window(platform_, schedule_.start, items_, schedule_, &health_));
     return report;
 }
 

@@ -23,7 +23,6 @@
 #include <array>
 #include <iosfwd>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/manager.hpp"
@@ -135,6 +134,12 @@ public:
 
     [[nodiscard]] Time clock() const noexcept { return clock_; }
     [[nodiscard]] std::size_t active_count() const noexcept { return active_.size(); }
+    /// Events still to dispatch: heap events (arrivals, activations,
+    /// faults) plus undispatched entries of the completion cursor.  Bounded
+    /// by the pending faults and the active set, never by history.
+    [[nodiscard]] std::size_t pending_events() const noexcept {
+        return events_.size() + (completions_.size() - next_completion_);
+    }
     /// Accumulated result so far (final only after run()/finish_stream()).
     [[nodiscard]] const TraceResult& result() const noexcept { return result_; }
 
@@ -167,7 +172,11 @@ private:
 #endif
 
     [[nodiscard]] ActiveTask* find_task(TaskUid uid);
-    [[nodiscard]] double actual_work(TaskUid uid) const;
+    template <typename Retire>
+    void retire_if(Retire retire);
+    template <typename Due>
+    void drain_events(Due due);
+    void complete(Time time, TaskUid uid);
     void charge_energy(double energy);
     void advance(Time to);
     [[nodiscard]] Time schedule_horizon() const;
@@ -186,10 +195,10 @@ private:
     void handle_fault(Time event_time, bool onset, std::size_t fault_index);
     void rescue_activation(Time now);
     void apply(const Decision& decision, const ActiveTask& candidate, Time now);
-    [[nodiscard]] WindowSchedule plan_current(Time now,
-                                              std::vector<ScheduleItem>* items_out = nullptr) const;
+    void plan_current(Time now);
     void abort_doomed(Time now);
-    [[nodiscard]] Time actual_completion(const ActiveTask& task, Time planned) const;
+    [[nodiscard]] Time actual_completion(const ActiveTask& task, double actual,
+                                         Time planned) const;
     void rebuild(Time now);
     [[nodiscard]] TraceResult finalize();
 
@@ -215,18 +224,30 @@ private:
     bool streaming_ = false;
 
     std::vector<ActiveTask> active_;
+    /// Hidden actual work per task (fraction of WCET), index-aligned with
+    /// active_ and kept in lockstep by retire_if; the RM never sees it.
+    std::vector<double> actual_work_;
     /// Current resource health (all nominal unless faults are injected).
     PlatformHealth health_;
+    /// The execution schedule and the items it was planned from, both
+    /// re-planned in place (their capacity survives every rebuild).
     WindowSchedule schedule_;
+    std::vector<ScheduleItem> items_;
     EventQueue events_;
+    /// Completion cursor (DESIGN.md §11): one (time, uid) per active task at
+    /// the last rebuild, ordered by time and then active_ order.  It stands
+    /// for heap events scheduled at sequences completion_seq_,
+    /// completion_seq_ + 1, ...; a rebuild replaces it wholesale.
+    struct PendingCompletion {
+        Time time = 0.0;
+        TaskUid uid = 0;
+    };
+    std::vector<PendingCompletion> completions_;
+    std::size_t next_completion_ = 0;
+    std::uint64_t completion_seq_ = 0;
     Time clock_ = 0.0;
-    std::uint64_t generation_ = 1;
     TraceResult result_;
     Rng execution_rng_;
-    /// Hidden actual work per task (fraction of WCET); the RM never sees
-    /// it.  Entries are dropped when their task retires, so the map is
-    /// O(active set) — a requirement for the bounded-memory serve mode.
-    std::unordered_map<TaskUid, double> actual_work_;
     /// Periodic-activation state (batch mode only).
     std::vector<std::size_t> pending_;
     Time last_activation_scheduled_ = -1.0;
@@ -254,10 +275,6 @@ private:
 
 #ifdef RMWP_AUDIT
     ScheduleAuditor auditor_;
-    /// The items the current execution schedule was built from, and the
-    /// build instant — kept so completions can re-audit the window.
-    std::vector<ScheduleItem> audited_items_;
-    Time audited_now_ = 0.0;
 #endif
 };
 

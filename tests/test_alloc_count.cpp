@@ -6,7 +6,8 @@
 // test pins that budget with counting global operator new/delete
 // overrides, so a future change that reintroduces per-decision allocations
 // (a copied mapping, a rebuilt schedule buffer, a temporary set) fails
-// loudly instead of silently costing throughput.
+// loudly instead of silently costing throughput.  The simulator's
+// post-decision re-plan (DESIGN.md §11) is pinned the same way, at zero.
 //
 // The counters are process-global, so this binary holds only this test.
 #include <gtest/gtest.h>
@@ -17,6 +18,8 @@
 #include <vector>
 
 #include "core/heuristic_rm.hpp"
+#include "predict/predictor.hpp"
+#include "sim/engine.hpp"
 #include "util/rng.hpp"
 #include "workload/trace_generator.hpp"
 
@@ -290,6 +293,58 @@ TEST(AllocCount, ShardedBatchOfEightAcrossFourShardsStaysPinned) {
     EXPECT_LE(allocations, budget)
         << "sharded decide_batch allocated " << allocations << " times over " << kRounds
         << " batches of " << items.size();
+}
+
+// ---- engine re-plan (DESIGN.md §11) ----
+
+TEST(AllocCount, SteadyStateRebuildIsAllocationFree) {
+#ifdef RMWP_AUDIT
+    GTEST_SKIP() << "allocation budgets are pinned on no-audit builds";
+#endif
+    const Platform platform = make_motivational_platform();
+    CatalogParams params;
+    params.type_count = 8;
+    Rng catalog_rng = Rng(3).derive(1);
+    const Catalog catalog = generate_catalog(platform, params, catalog_rng);
+
+    // Execution-time variation makes every completion re-plan, so draining
+    // completions runs the engine's advance and rebuild — and neither the
+    // RM nor the predictor.  Factors just below 1 keep every round's plans
+    // the same shape.
+    SimOptions options;
+    options.execution_time_factor_min = 0.999;
+    options.execution_seed = 1;
+    HeuristicRM rm;
+    NullPredictor off;
+    SimEngine engine(platform, catalog, rm, off, nullptr, options);
+    engine.begin_stream();
+
+    // One round: the same six arrivals, shifted by a period long enough
+    // for the round to drain completely.
+    constexpr Time kPeriod = 1024.0;
+    TaskUid uid = 0;
+    const auto feed_round = [&](int round) {
+        for (std::size_t k = 0; k < 6; ++k) {
+            const Time arrival = kPeriod * round + 0.5 * static_cast<double>(k);
+            const Request request{arrival, static_cast<TaskTypeId>(k % 8), 400.0};
+            (void)engine.stream_arrival(request, uid++, arrival);
+        }
+    };
+    // Warm-up round: sizes the schedule, item and cursor buffers.
+    feed_round(0);
+    engine.drain_until(kPeriod);
+    ASSERT_EQ(engine.active_count(), 0u);
+
+    feed_round(1);
+    const std::size_t admitted = engine.active_count();
+    ASSERT_GT(admitted, 1u);
+    AllocationCount count;
+    count.start();
+    engine.drain_until(2 * kPeriod); // one advance + rebuild per completion
+    const std::uint64_t allocations = count.stop();
+    EXPECT_EQ(engine.active_count(), 0u);
+    EXPECT_EQ(allocations, 0u) << admitted << " steady-state completion re-plans allocated "
+                               << allocations << " times";
 }
 
 } // namespace

@@ -17,10 +17,12 @@
 #include <string>
 #include <vector>
 
+#include "core/baseline_rm.hpp"
 #include "core/heuristic_rm.hpp"
 #include "predict/online.hpp"
 #include "predict/predictor.hpp"
 #include "serve/serve.hpp"
+#include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 #include "workload/catalog.hpp"
 #include "workload/trace_generator.hpp"
@@ -484,6 +486,92 @@ TEST(Serve, CleanRunPassesTheMonitor) {
     EXPECT_EQ(serve.exit_code, 0);
     EXPECT_GE(serve.monitor_checks, 1u);
     EXPECT_TRUE(serve.violation.empty());
+}
+
+// ---- bounded engine memory ----
+
+TEST(SimEngineMemory, PendingEventPeakDoesNotGrowWithHistory) {
+    ServeWorld world;
+    TraceGenParams gen;
+    gen.length = 40;
+    Rng gen_rng(31);
+    const Trace block = generate_trace(world.catalog, gen, gen_rng);
+    // The block repeats with a period long enough to drain between
+    // repetitions, so every repetition meets the same (empty) engine state.
+    // Engine memory that is O(active set) then peaks at the same value over
+    // 2N arrivals as over N; anything that grows with history does not.
+    constexpr Time kPeriod = 4096.0;
+    ASSERT_LT(block.request(block.size() - 1).absolute_deadline(), kPeriod);
+    constexpr int kRepetitions = 4; // N = kRepetitions * block.size()
+
+    const auto check = [&](ResourceManager& rm, const char* name) {
+        NullPredictor off;
+        SimEngine engine(world.platform, world.catalog, rm, off, nullptr, SimOptions{});
+        engine.begin_stream();
+        TaskUid uid = 0;
+        std::size_t peak = 0;
+        std::size_t peak_after_n = 0;
+        for (int repetition = 0; repetition < 2 * kRepetitions; ++repetition) {
+            for (Request request : block) {
+                request.arrival += kPeriod * repetition;
+                (void)engine.stream_arrival(request, uid++, request.arrival);
+                peak = std::max(peak, engine.pending_events());
+            }
+            if (repetition + 1 == kRepetitions) peak_after_n = peak;
+        }
+        EXPECT_GT(peak_after_n, 0u) << name;
+        EXPECT_EQ(peak, peak_after_n) << name;
+        const TraceResult result = engine.finish_stream();
+        EXPECT_EQ(engine.pending_events(), 0u) << name;
+        EXPECT_EQ(result.requests, 2u * kRepetitions * block.size()) << name;
+    };
+    HeuristicRM heuristic;
+    check(heuristic, "heuristic");
+    BaselineRM baseline;
+    check(baseline, "baseline");
+}
+
+TEST(SimEngineCheckpoint, RestoreRejectsTaskWorkOutsideTheUnitInterval) {
+    ServeWorld world;
+    TraceGenParams gen;
+    gen.length = 6;
+    Rng gen_rng(37);
+    const Trace trace = generate_trace(world.catalog, gen, gen_rng);
+    SimOptions options;
+    options.execution_time_factor_min = 0.5;
+    HeuristicRM rm;
+    NullPredictor off;
+    SimEngine writer(world.platform, world.catalog, rm, off, nullptr, options);
+    writer.begin_stream();
+    TaskUid uid = 0;
+    for (const Request& request : trace)
+        (void)writer.stream_arrival(request, uid++, request.arrival);
+    ASSERT_GT(writer.active_count(), 0u);
+    std::ostringstream saved;
+    writer.save_stream(saved);
+
+    // Layout: header, clock, resource count, one health line per resource,
+    // active count, then per task a header line and five numbers — the
+    // hidden work last.
+    std::vector<std::string> lines;
+    std::istringstream split(saved.str());
+    for (std::string line; std::getline(split, line);) lines.push_back(line);
+    const std::size_t work_line = 3 + world.platform.size() + 6;
+    ASSERT_LT(work_line, lines.size());
+
+    const auto restore = [&](const std::string& work) {
+        std::vector<std::string> edited = lines;
+        edited[work_line] = work;
+        std::string text;
+        for (const std::string& line : edited) text += line + '\n';
+        std::istringstream is(text);
+        SimEngine reader(world.platform, world.catalog, rm, off, nullptr, options);
+        reader.begin_stream();
+        reader.restore_stream(is, nullptr);
+    };
+    EXPECT_NO_THROW(restore(lines[work_line]));
+    for (const char* bad : {"nan", "inf", "-0x1p-1", "0x1.8p+0"})
+        EXPECT_THROW(restore(bad), std::runtime_error) << bad;
 }
 
 // ---- signal drain ----

@@ -9,7 +9,9 @@
 #include "core/exact_rm.hpp"
 #include "core/heuristic_rm.hpp"
 #include "predict/oracle.hpp"
+#include "obs/trace_sink.hpp"
 #include "predict/predictor.hpp"
+#include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
@@ -37,15 +39,19 @@ TEST(EventQueue, SimultaneousEventsAreFifo) {
     for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(queue.pop().payload, i);
 }
 
-TEST(EventQueue, CancellationDropsGroup) {
+TEST(EventQueue, PrecedesOrdersByTimeThenSequence) {
     EventQueue queue;
-    queue.schedule(1.0, 0, 1, /*group=*/5);
-    queue.schedule(2.0, 0, 2, /*group=*/6);
-    queue.schedule(3.0, 0, 3, /*group=*/5);
-    queue.cancel_group(5);
-    EXPECT_EQ(queue.pop().payload, 2u);
-    EXPECT_TRUE(queue.empty());
-    EXPECT_THROW(queue.schedule(4.0, 0, 4, 5), precondition_error); // dead group
+    queue.schedule(2.0, 0, 1);
+    const std::uint64_t stamp = queue.next_sequence(); // a virtual event stamped here
+    queue.schedule(2.0, 0, 2);
+    EXPECT_TRUE(queue.precedes(3.0, stamp));
+    EXPECT_FALSE(queue.precedes(1.0, stamp));
+    EXPECT_TRUE(queue.precedes(2.0, stamp)); // scheduled before the stamp
+    (void)queue.pop();
+    EXPECT_FALSE(queue.precedes(2.0, stamp)); // scheduled after it
+    // Dispatches outside the queue seal the past too.
+    queue.mark_dispatched(2.5);
+    EXPECT_THROW(queue.schedule(2.4, 0, 3), precondition_error);
 }
 
 TEST(EventQueue, NextTimePeeks) {
@@ -77,6 +83,106 @@ struct MiniWorld {
         return Catalog(std::move(types));
     }();
 };
+
+// ---- the completion cursor (DESIGN.md §11) ----
+
+/// Kinds of the completion, re-plan and fault-onset events at exactly `t`,
+/// in emission order.
+std::vector<obs::EventKind> dispatch_order_at(const std::vector<obs::TraceEvent>& events,
+                                              Time t) {
+    std::vector<obs::EventKind> kinds;
+    for (const obs::TraceEvent& event : events)
+        if (event.t_sim == t && (event.kind == obs::EventKind::complete ||
+                                 event.kind == obs::EventKind::plan_rebuild ||
+                                 event.kind == obs::EventKind::fault_onset))
+            kinds.push_back(event.kind);
+    return kinds;
+}
+
+TEST(CompletionCursor, FaultOnsetAtACompletionInstantKeepsHeapOrder) {
+#ifndef RMWP_OBS
+    GTEST_SKIP() << "observes dispatch order through the trace sink";
+#else
+    const MiniWorld world;
+    const Request request{0.0, 0, 100.0};
+    // Execution-time variation makes every completion re-plan, so the
+    // trace shows whether the completion or the onset was dispatched first.
+    SimOptions options;
+    options.execution_time_factor_min = 0.5;
+    options.execution_seed = 3;
+
+    // Feed one arrival; `faults` is installed before or after the
+    // arrival's rebuild (the one that plans the completion).
+    const auto run = [&](const FaultSchedule* faults, bool before_rebuild) {
+        obs::TraceSink sink;
+        SimOptions traced = options;
+        traced.sink = &sink;
+        HeuristicRM rm;
+        NullPredictor off;
+        SimEngine engine(world.platform, world.catalog, rm, off, nullptr, traced);
+        engine.begin_stream();
+        if (before_rebuild) engine.set_fault_schedule(faults, 0.0, true);
+        (void)engine.stream_arrival(request, 0, 0.0);
+        if (!before_rebuild) engine.set_fault_schedule(faults, 0.0, true);
+        (void)engine.finish_stream();
+        return sink.events();
+    };
+
+    Time completed_at = -1.0;
+    for (const obs::TraceEvent& event : run(nullptr, true))
+        if (event.kind == obs::EventKind::complete) completed_at = event.t_sim;
+    ASSERT_GT(completed_at, 0.0);
+
+    // A permanent outage of a CPU the task does not use, at exactly the
+    // completion instant.
+    std::vector<FaultEvent> events(1);
+    events[0].resource = 0;
+    events[0].start = completed_at;
+    const FaultSchedule faults{std::move(events)};
+
+    using K = obs::EventKind;
+    // Scheduled before the rebuild, the onset wins the tie (as a heap event
+    // with the lower sequence did): it rescues and re-plans, which
+    // supersedes the completion.
+    EXPECT_EQ(dispatch_order_at(run(&faults, true), completed_at),
+              (std::vector<K>{K::complete, K::fault_onset, K::plan_rebuild}));
+    // Scheduled after it, the completion goes first and re-plans, then the
+    // onset rescues.
+    EXPECT_EQ(dispatch_order_at(run(&faults, false), completed_at),
+              (std::vector<K>{K::complete, K::plan_rebuild, K::fault_onset, K::plan_rebuild}));
+#endif
+}
+
+TEST(CompletionCursor, CompletionsWithinToleranceRetireWithoutStaleTails) {
+    // Two CPUs, one task type (wcet 5 on either), migrations prohibitively
+    // expensive.  tau_1 arrives 0.5e-6 ms after tau_0 and cannot queue
+    // behind it (deadline 6), so the two complete on different CPUs 0.5e-6
+    // ms apart — inside the engine's 1e-6 ms completion tolerance.  tau_0's
+    // completion advances tau_1 to within tolerance and retires it, with
+    // no re-plan (no execution-time variation).  The retirement must cut
+    // tau_1's planned tail, or tau_1's own completion advances over a
+    // segment whose task no longer exists.
+    PlatformBuilder builder;
+    builder.add_cpu("CPU1").add_cpu("CPU2");
+    const Platform platform = builder.build();
+    std::vector<std::vector<double>> migration(2, std::vector<double>(2, 100.0));
+    migration[0][0] = migration[1][1] = 0.0;
+    std::vector<TaskType> types;
+    types.emplace_back(0, std::vector<double>{5.0, 5.0}, std::vector<double>{1.0, 1.0},
+                       migration, migration);
+    const Catalog catalog(std::move(types));
+    const Trace trace({Request{0.0, 0, 6.0}, Request{5e-7, 0, 6.0}});
+
+    HeuristicRM rm;
+    NullPredictor off;
+    TraceResult result;
+    ASSERT_NO_THROW(result = simulate_trace(platform, catalog, trace, rm, off));
+    EXPECT_EQ(result.accepted, 2u);
+    EXPECT_EQ(result.completed, 2u);
+    EXPECT_EQ(result.migrations, 0u);
+    EXPECT_EQ(result.deadline_misses, 0u);
+    EXPECT_NEAR(result.total_energy, 2.0, 1e-9);
+}
 
 TEST(Simulator, SingleTaskConsumesExactlyItsEnergy) {
     const MiniWorld world;
