@@ -44,7 +44,7 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
 
     PlanScratch& s = PlanScratch::local();
     s.reset(instance);
-    // Physical anchors resolved once by reset(); the refresh and placement
+    // Physical anchors resolved once by reset(); the fit and placement
     // loops below read this table millions of times per serve run.
     auto phys = [&](ResourceId i) { return s.phys[i]; };
 
@@ -55,10 +55,6 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
     for (ResourceId i = 0; i < n; ++i)
         s.capacity[i] = instance.window - instance.blocked_time[i];
 
-    // Per-task anchor masks drive the dirty-flag invalidation below; beyond
-    // 64 physical anchors (never hit by the paper's platforms) fall back to
-    // invalidating every task.
-    const bool use_masks = n <= 64;
     for (std::size_t j = 0; j < count; ++j) {
         const PlanTask& task = instance.tasks[j];
         double* row = s.f.data() + j * n;
@@ -68,82 +64,84 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
                                     ? task.epm[i]
                                     : task.epm[i] / task.cpm[i];
             row[i] = base + penalty;
-            if (use_masks) s.anchor_mask[j] |= std::uint64_t{1} << phys(i);
         }
     }
 
-    // A task's (best, second-best, feasible-count) triple only changes when
-    // the capacity of an anchor it can use shrinks or one of its resources
-    // gets excluded; between those events the cached triple is reused, so
-    // the outer loop's rescan is O(dirty tasks), not O(all tasks).
-    auto refresh = [&](std::size_t j) {
+    // An open task's regret triple depends on capacity only through which
+    // of its lanes fit (cpm_{j,i} <= capacity of the lane's anchor); its
+    // lanes are never excluded, because exclusions only touch the task
+    // being placed, which then leaves the open list either way.  Within one
+    // solve capacity only shrinks, so the triple is re-derived only when a
+    // placement makes one of its lanes stop fitting (the flip test below).
+    auto fit = [&](std::size_t j) {
         const PlanTask& task = instance.tasks[j];
         const double* row = s.f.data() + j * n;
-        const std::uint8_t* row_excluded = s.excluded.data() + j * n;
-        double best = kInfinity;
-        double second = kInfinity;
-        std::size_t feasible = 0;
+        RegretTriple t;
         for (const ResourceId i : task.executable) {
-            if (row_excluded[i] || task.cpm[i] > s.capacity[phys(i)]) continue;
-            ++feasible;
-            if (row[i] < best) {
-                second = best;
-                best = row[i];
-            } else if (row[i] < second) {
-                second = row[i];
+            if (task.cpm[i] > s.capacity[phys(i)]) continue;
+            ++t.feasible;
+            if (row[i] < t.best) {
+                t.second = t.best;
+                t.best = row[i];
+            } else if (row[i] < t.second) {
+                t.second = row[i];
             }
         }
-        s.best_f[j] = best;
-        s.second_f[j] = second;
-        s.feasible_count[j] = feasible;
-        s.dirty[j] = 0;
+        return t;
     };
+    for (std::size_t j = 0; j < count; ++j) s.triple[j] = fit(j);
 
-    std::size_t unmapped = count;
-    while (unmapped > 0) {
+    while (!s.open.empty()) {
+#ifdef RMWP_AUDIT
+        // Drift gate (DESIGN.md §13): every cached triple equals a
+        // from-scratch one.
+        for (const std::size_t j : s.open) RMWP_ENSURE(s.triple[j] == fit(j));
+#endif
         // Lines 8-23: pick the task with the maximum regret d* (or, under an
         // ablation ordering, the next unmapped task by deadline / arrival —
-        // the feasibility bookkeeping stays identical).
+        // the feasibility bookkeeping stays identical).  `open` is
+        // ascending, so strict comparisons keep the first task of a tie.
         double best_regret = -kInfinity;
-        std::size_t best_task = count;
-        for (std::size_t j = 0; j < count; ++j) {
-            if (s.mapped[j]) continue;
-            if (s.dirty[j]) refresh(j);
-            if (s.feasible_count[j] == 0) return std::nullopt; // line 22: no solution
+        std::size_t best_pos = s.open.size();
+        for (std::size_t k = 0; k < s.open.size(); ++k) {
+            const std::size_t j = s.open[k];
+            const RegretTriple& t = s.triple[j];
+            if (t.feasible == 0) return std::nullopt; // line 22: no solution
 
             switch (options.order) {
             case Options::Order::max_regret: {
-                const double regret =
-                    s.feasible_count[j] == 1 ? kInfinity : s.second_f[j] - s.best_f[j];
+                const double regret = t.feasible == 1 ? kInfinity : t.second - t.best;
                 if (regret > best_regret) {
                     best_regret = regret;
-                    best_task = j;
+                    best_pos = k;
                 }
                 break;
             }
             case Options::Order::edf:
-                if (best_task == count ||
-                    instance.tasks[j].abs_deadline < instance.tasks[best_task].abs_deadline)
-                    best_task = j;
+                if (best_pos == s.open.size() ||
+                    instance.tasks[j].abs_deadline <
+                        instance.tasks[s.open[best_pos]].abs_deadline)
+                    best_pos = k;
                 break;
             case Options::Order::arrival:
-                if (best_task == count) best_task = j;
+                if (best_pos == s.open.size()) best_pos = k;
                 break;
             }
         }
-        RMWP_ENSURE(best_task < count);
+        RMWP_ENSURE(best_pos < s.open.size());
+        const std::size_t best_task = s.open[best_pos];
 
         // Lines 24-34: map the chosen task to its most desirable resource
         // that passes the schedulability check.
         const PlanTask& task = instance.tasks[best_task];
         const double* row = s.f.data() + best_task * n;
-        std::uint8_t* row_excluded = s.excluded.data() + best_task * n;
+        std::fill(s.excluded.begin(), s.excluded.end(), std::uint8_t{0});
         bool placed = false;
         while (!placed) {
             double best_f = kInfinity;
             ResourceId target = n;
             for (const ResourceId i : task.executable) {
-                if (row_excluded[i] || task.cpm[i] > s.capacity[phys(i)]) continue;
+                if (s.excluded[i] || task.cpm[i] > s.capacity[phys(i)]) continue;
                 if (row[i] < best_f) {
                     best_f = row[i];
                     target = i;
@@ -160,21 +158,29 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
             if (resource_feasible_sorted(platform.resource(anchor), instance.now,
                                          s.assigned[anchor])) {
                 s.mapping[best_task] = target;
-                s.mapped[best_task] = 1;
+                s.open.erase(s.open.begin() + static_cast<std::ptrdiff_t>(best_pos));
+                const double before = s.capacity[anchor];
                 s.capacity[anchor] -= task.cpm[target];
+                const double after = s.capacity[anchor];
                 placed = true;
-                --unmapped;
-                // This anchor's capacity shrank: only tasks that can use it
-                // need their desirability triple recomputed.
-                for (std::size_t j = 0; j < count; ++j) {
-                    if (s.mapped[j]) continue;
-                    if (!use_masks || ((s.anchor_mask[j] >> anchor) & 1u)) s.dirty[j] = 1;
+                // Flip test: an open task's triple changes iff one of its
+                // lanes on this anchor fitted before the placement and no
+                // longer does.
+                const ResourceId* lane_first = s.lanes.data() + s.lane_begin[anchor];
+                const ResourceId* lane_last = s.lanes.data() + s.lane_begin[anchor + 1];
+                for (const std::size_t j : s.open) {
+                    const double* cpm = instance.tasks[j].cpm.data();
+                    for (const ResourceId* lane = lane_first; lane != lane_last; ++lane) {
+                        if (after < cpm[*lane] && cpm[*lane] <= before) {
+                            s.triple[j] = fit(j);
+                            break;
+                        }
+                    }
                 }
             } else {
                 s.assigned[anchor].erase(s.assigned[anchor].begin() +
                                          static_cast<std::ptrdiff_t>(pos));
-                row_excluded[target] = 1;
-                s.dirty[best_task] = 1;
+                s.excluded[target] = 1;
             }
         }
     }

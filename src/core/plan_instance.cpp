@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "core/edf.hpp"
 #include "core/reservation.hpp"
@@ -458,20 +459,26 @@ void PlanScratch::reset(const PlanInstance& instance) {
 
     capacity.assign(n, 0.0);
     f.assign(count * n, kInfinity);
-    excluded.assign(count * n, 0);
-    mapped.assign(count, 0);
+    excluded.assign(n, 0);
     mapping.assign(count, 0);
-    best_f.assign(count, kInfinity);
-    second_f.assign(count, kInfinity);
-    feasible_count.assign(count, 0);
-    dirty.assign(count, 1);
-    anchor_mask.assign(count, 0);
+    open.assign(count, 0);
+    std::iota(open.begin(), open.end(), std::size_t{0});
+    triple.assign(count, RegretTriple{});
 
     // The physical anchor of each resource is immutable platform data, but
     // the solver reads it in its innermost loops — resolve the indirection
-    // once per reset.
+    // once per reset, and group the lanes by anchor (a counting sort: count
+    // per anchor, prefix-sum to end offsets, then fill backwards so each
+    // offset lands on its anchor's start).
     phys.resize(n);
-    for (ResourceId i = 0; i < n; ++i) phys[i] = instance.platform->resource(i).physical();
+    lane_begin.assign(n + 1, 0);
+    for (ResourceId i = 0; i < n; ++i) {
+        phys[i] = instance.platform->resource(i).physical();
+        ++lane_begin[phys[i]];
+    }
+    for (std::size_t a = 1; a <= n; ++a) lane_begin[a] += lane_begin[a - 1];
+    lanes.resize(n);
+    for (ResourceId i = n; i-- > 0;) lanes[--lane_begin[phys[i]]] = i;
 
     if (assigned.size() < n) assigned.resize(n);
     for (ResourceId i = 0; i < n; ++i) {
@@ -490,12 +497,12 @@ void PlanScratch::reset(const PlanInstance& instance) {
 std::uint64_t PlanScratch::footprint_bytes() const noexcept {
     std::uint64_t bytes = capacity.capacity() * sizeof(double) +
                           f.capacity() * sizeof(double) + excluded.capacity() +
-                          mapped.capacity() + mapping.capacity() * sizeof(ResourceId) +
+                          mapping.capacity() * sizeof(ResourceId) +
                           phys.capacity() * sizeof(ResourceId) +
-                          best_f.capacity() * sizeof(double) +
-                          second_f.capacity() * sizeof(double) +
-                          feasible_count.capacity() * sizeof(std::size_t) + dirty.capacity() +
-                          anchor_mask.capacity() * sizeof(std::uint64_t) +
+                          lane_begin.capacity() * sizeof(std::size_t) +
+                          lanes.capacity() * sizeof(ResourceId) +
+                          open.capacity() * sizeof(std::size_t) +
+                          triple.capacity() * sizeof(RegretTriple) +
                           assigned.capacity() * sizeof(std::vector<ScheduleItem>);
     for (const auto& schedule : assigned) bytes += schedule.capacity() * sizeof(ScheduleItem);
     return bytes;

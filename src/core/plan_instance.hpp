@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -153,9 +154,20 @@ private:
     std::vector<PlanTask>& spare_;
 };
 
+/// Algorithm 1's per-task view of the remaining platform: the best and
+/// second-best desirability over the task's lanes that still fit, and how
+/// many lanes fit.  The regret d* is `second - best`.
+struct RegretTriple {
+    double best = std::numeric_limits<double>::infinity();
+    double second = std::numeric_limits<double>::infinity();
+    std::size_t feasible = 0;
+
+    friend bool operator==(const RegretTriple&, const RegretTriple&) = default;
+};
+
 /// Reusable scratch arena for admission solvers: the desirability matrix,
 /// exclusion bitmap, per-resource schedule buffers, and the cached
-/// best/second-best desirability state of the heuristic's outer loop.
+/// regret triples of the heuristic's outer loop.
 /// Admission runs thousands of times per trace, and before this arena every
 /// run allocated (and freed) count x n matrices plus one schedule vector
 /// per resource; reset() reuses the buffers, so steady-state admission does
@@ -163,24 +175,23 @@ private:
 /// design — the parallel experiment engine shares one RM object across
 /// threads, so solver scratch must never live on the RM itself.
 struct PlanScratch {
-    // Knapsack state (task-major matrices: element (j, i) at [j * n + i]).
+    // Knapsack state (task-major matrix: element (j, i) at [j * n + i]).
     std::vector<double> capacity;        ///< per physical resource
     std::vector<double> f;               ///< desirability f_{j,i}
-    std::vector<std::uint8_t> excluded;  ///< tried-and-unschedulable pairs
-    std::vector<std::uint8_t> mapped;
+    std::vector<std::uint8_t> excluded;  ///< lanes the task being placed failed on
     std::vector<ResourceId> mapping;
     std::vector<std::vector<ScheduleItem>> assigned; ///< per physical resource
     std::vector<ResourceId> phys; ///< resource id -> physical anchor id
+    /// Physical anchor -> its lanes (the resources sharing that core):
+    /// anchor a owns lanes[lane_begin[a] .. lane_begin[a + 1]).
+    std::vector<std::size_t> lane_begin;
+    std::vector<ResourceId> lanes;
 
-    // Per-task desirability cache for the dirty-flag incremental
-    // recomputation: a task's best/second-best/feasible-count triple stays
-    // valid until a capacity it can use shrinks or one of its resources is
-    // excluded.
-    std::vector<double> best_f;
-    std::vector<double> second_f;
-    std::vector<std::size_t> feasible_count;
-    std::vector<std::uint8_t> dirty;
-    std::vector<std::uint64_t> anchor_mask; ///< physical anchors usable per task
+    // Incremental regret state: `open` lists the unmapped tasks in
+    // ascending index order (the scan order that keeps ties first-wins);
+    // `triple` caches each task's regret triple.
+    std::vector<std::size_t> open;
+    std::vector<RegretTriple> triple;
 
     /// Size every buffer for the instance and seed the per-resource
     /// schedule buffers from its reservation blocks.

@@ -14,10 +14,12 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <latch>
 #include <new>
 #include <vector>
 
 #include "core/heuristic_rm.hpp"
+#include "exec/task_pool.hpp"
 #include "predict/predictor.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
@@ -187,6 +189,22 @@ Platform make_islands_platform() {
     return builder.build();
 }
 
+/// Run `warm` once on every thread of the calling thread's probe pool: its
+/// workers and the caller.  The pool self-schedules, so one warm-up decision
+/// can leave a worker idle, and that worker's thread-local solver arenas
+/// would then grow inside the counted rounds.  Each index here waits on a
+/// latch until every index has started, so no thread can claim two.
+template <typename Warm>
+void warm_every_probe_thread(std::size_t workers, const Warm& warm) {
+    TaskPool& pool = probe_pool(workers);
+    const std::size_t threads = pool.size() + 1;
+    std::latch started(static_cast<std::ptrdiff_t>(threads));
+    pool.for_each(threads, [&](std::size_t) {
+        started.arrive_and_wait();
+        warm();
+    });
+}
+
 TEST(AllocCount, ShardedSteadyStateKeepsTheOneAllocationBudget) {
 #ifdef RMWP_AUDIT
     GTEST_SKIP() << "allocation budgets are pinned on no-audit builds";
@@ -214,10 +232,18 @@ TEST(AllocCount, ShardedSteadyStateKeepsTheOneAllocationBudget) {
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}}) {
         HeuristicRM rm;
         rm.set_shard_config({4, jobs});
-        // Warm-up sizes the partition, the per-bucket sub-instances, every
-        // worker thread's solver arenas, and (jobs > 1) the probe pool's
-        // threads — all persistent thread-local state.
+        // Warm-up sizes the partition, the per-bucket sub-instances, and
+        // (jobs > 1) the probe pool's threads.  Then every thread that can
+        // solve a bucket runs each bucket once, serially, which sizes its
+        // solver arenas for any bucket the pool may hand it.
         (void)rm.decide(context);
+        if (jobs > 1) {
+            warm_every_probe_thread(jobs - 1, [&] {
+                HeuristicRM serial;
+                serial.set_shard_config({4, 1});
+                (void)serial.decide(context);
+            });
+        }
 
         constexpr int kRounds = 200;
         AllocationCount count;
@@ -275,6 +301,12 @@ TEST(AllocCount, ShardedBatchOfEightAcrossFourShardsStaysPinned) {
     std::vector<Decision> out;
     rm.decide_batch(batch, out); // warm-up
     ASSERT_EQ(out.size(), items.size());
+    warm_every_probe_thread(1, [&] {
+        HeuristicRM serial;
+        serial.set_shard_config({4, 1});
+        std::vector<Decision> serial_out;
+        serial.decide_batch(batch, serial_out);
+    });
 
     constexpr int kRounds = 100;
     AllocationCount count;

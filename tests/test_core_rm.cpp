@@ -3,11 +3,17 @@
 // randomized cross-validation against brute-force enumeration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <optional>
+#include <string>
 #include <tuple>
 
 #include "core/exact_rm.hpp"
 #include "core/heuristic_rm.hpp"
+#include "core/reservation.hpp"
+#include "platform/health.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "workload/trace_generator.hpp"
@@ -319,6 +325,322 @@ TEST_P(RmCrossValidation, HeuristicNeverBeatsExactAndIsAlwaysFeasible) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, RmCrossValidation,
                          ::testing::Range<std::uint64_t>(0, 60));
+
+// ---- Algorithm 1 against a textbook re-statement ----
+
+/// Algorithm 1 as the paper states it, with no incremental state: every
+/// iteration recomputes every unmapped task's (best, second, feasible)
+/// triple from scratch in a sweep over 0..count, and every probe checks a
+/// fresh copy of the resource's items.  The production solver caches the
+/// triples, scans only the open tasks, and keeps per-anchor lists sorted;
+/// it must return exactly this mapping.
+std::optional<std::vector<ResourceId>> textbook_map_tasks(const PlanInstance& instance,
+                                                          const HeuristicRM::Options& options) {
+    using Options = HeuristicRM::Options;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const Platform& platform = *instance.platform;
+    const std::size_t n = instance.resource_count();
+    const std::size_t count = instance.tasks.size();
+    const auto anchor = [&](ResourceId i) { return platform.resource(i).physical(); };
+    const auto desirability = [&](std::size_t j, ResourceId i) {
+        const PlanTask& task = instance.tasks[j];
+        const double penalty = task.cpm[i] > task.time_left(instance.now) ? 1e9 : 0.0;
+        const double base = options.desirability == Options::Desirability::energy
+                                ? task.epm[i]
+                                : task.epm[i] / task.cpm[i];
+        return base + penalty;
+    };
+
+    std::vector<double> capacity(n);
+    for (ResourceId i = 0; i < n; ++i) capacity[i] = instance.window - instance.blocked_time[i];
+    std::vector<std::vector<ScheduleItem>> assigned = instance.blocks;
+    std::vector<ResourceId> mapping(count, 0);
+    std::vector<bool> mapped(count, false);
+
+    for (std::size_t round = 0; round < count; ++round) {
+        double best_regret = -kInf;
+        std::size_t chosen = count;
+        for (std::size_t j = 0; j < count; ++j) {
+            if (mapped[j]) continue;
+            const PlanTask& task = instance.tasks[j];
+            double best = kInf;
+            double second = kInf;
+            std::size_t feasible = 0;
+            for (const ResourceId i : task.executable) {
+                if (task.cpm[i] > capacity[anchor(i)]) continue;
+                ++feasible;
+                const double f = desirability(j, i);
+                if (f < best) {
+                    second = best;
+                    best = f;
+                } else if (f < second) {
+                    second = f;
+                }
+            }
+            if (feasible == 0) return std::nullopt;
+            switch (options.order) {
+            case Options::Order::max_regret: {
+                const double regret = feasible == 1 ? kInf : second - best;
+                if (regret > best_regret) {
+                    best_regret = regret;
+                    chosen = j;
+                }
+                break;
+            }
+            case Options::Order::edf:
+                if (chosen == count || task.abs_deadline < instance.tasks[chosen].abs_deadline)
+                    chosen = j;
+                break;
+            case Options::Order::arrival:
+                if (chosen == count) chosen = j;
+                break;
+            }
+        }
+
+        const PlanTask& task = instance.tasks[chosen];
+        std::vector<bool> excluded(n, false);
+        while (true) {
+            double best = kInf;
+            ResourceId target = n;
+            for (const ResourceId i : task.executable) {
+                if (excluded[i] || task.cpm[i] > capacity[anchor(i)]) continue;
+                if (desirability(chosen, i) < best) {
+                    best = desirability(chosen, i);
+                    target = i;
+                }
+            }
+            if (target == n) return std::nullopt;
+            std::vector<ScheduleItem> items = assigned[anchor(target)];
+            items.push_back(instance.item_for(chosen, target));
+            if (resource_feasible(platform.resource(anchor(target)), instance.now, items)) {
+                assigned[anchor(target)] = std::move(items);
+                capacity[anchor(target)] -= task.cpm[target];
+                mapping[chosen] = target;
+                mapped[chosen] = true;
+                break;
+            }
+            excluded[target] = true;
+        }
+    }
+    return mapping;
+}
+
+enum class DiffPlatform { paper, dvfs, islands };
+
+/// `catalog` with every WCET and migration time rounded up to a whole
+/// number.  With whole deadlines too, all planning arithmetic is exact, so
+/// a lane that exactly fills its core's remaining capacity is common.
+Catalog whole_number_times(const Catalog& catalog) {
+    const auto whole = [](double t) { return std::isfinite(t) ? std::max(1.0, std::ceil(t)) : t; };
+    std::vector<TaskType> types;
+    for (const TaskType& type : catalog) {
+        const std::size_t n = type.resource_count();
+        std::vector<double> wcet(n);
+        std::vector<double> energy(n);
+        std::vector<std::vector<double>> migration_time(n, std::vector<double>(n, 0.0));
+        std::vector<std::vector<double>> migration_energy(n, std::vector<double>(n, 0.0));
+        for (ResourceId i = 0; i < n; ++i) {
+            wcet[i] = whole(type.wcet(i));
+            energy[i] = type.energy(i);
+            for (ResourceId k = 0; k < n; ++k) {
+                if (k == i) continue;
+                migration_time[k][i] = std::ceil(type.migration_time(k, i));
+                migration_energy[k][i] = type.migration_energy(k, i);
+            }
+        }
+        types.emplace_back(type.id(), std::move(wcet), std::move(energy),
+                           std::move(migration_time), std::move(migration_energy));
+    }
+    return Catalog(std::move(types));
+}
+
+/// A loaded activation of 20-30 tasks: enough work that capacities run out
+/// mid-solve and lanes stop fitting, with every instance feature the
+/// solver reads — pinned and partly executed tasks, predictions,
+/// reservation blocks, throttled and offline cores.  Deadlines sit on a
+/// coarse grid so max-regret and EDF ties are common.  Odd seeds use whole
+/// (or dyadic) times throughout, so lanes that exactly fit occur.
+struct LoadedInstance {
+    Platform platform;
+    Catalog catalog;
+    ReservationTable reservations;
+    PlatformHealth health;
+    std::vector<ActiveTask> active;
+    ArrivalContext context;
+
+    static Platform make_platform(DiffPlatform kind) {
+        PlatformBuilder builder;
+        switch (kind) {
+        case DiffPlatform::paper: return make_paper_platform();
+        case DiffPlatform::dvfs:
+            builder.add_cpu_with_dvfs({1.0, 0.8, 0.5}, "big");
+            builder.add_cpu_with_dvfs({1.0, 0.6}, "little");
+            builder.add_cpu("CPU");
+            builder.add_gpu("GPU");
+            break;
+        case DiffPlatform::islands:
+            for (int k = 0; k < 24; ++k) builder.add_cpu("CPU" + std::to_string(k));
+            for (int k = 0; k < 4; ++k) builder.add_gpu("GPU" + std::to_string(k));
+            builder.add_cpu_with_dvfs({1.0, 0.5}, "DVFS");
+            break;
+        }
+        return builder.build();
+    }
+
+    static Catalog make_catalog(const Platform& platform, DiffPlatform kind, std::uint64_t seed) {
+        CatalogParams params;
+        params.type_count = 12;
+        params.static_energy_fraction = 0.3;
+        Rng catalog_rng = Rng(seed).derive(1);
+        Catalog catalog = kind == DiffPlatform::islands
+                              ? generate_partitioned_catalog(platform, params, 4, catalog_rng)
+                              : generate_catalog(platform, params, catalog_rng);
+        return seed % 2 == 1 ? whole_number_times(catalog) : catalog;
+    }
+
+    /// Physical cores of the platform, in id order.
+    [[nodiscard]] std::vector<ResourceId> anchors() const {
+        std::vector<ResourceId> out;
+        for (const Resource& resource : platform)
+            if (resource.physical() == resource.id()) out.push_back(resource.id());
+        return out;
+    }
+
+    LoadedInstance(DiffPlatform kind, std::uint64_t seed)
+        : platform(make_platform(kind)), catalog(make_catalog(platform, kind, seed)) {
+        Rng rng(seed);
+        const bool exact = seed % 2 == 1;
+        // A draw from [lo, hi): whole numbers (or quarters) when `exact`.
+        const auto draw = [&](double lo, double hi, double step) {
+            const double x = rng.uniform(lo, hi);
+            return exact ? std::floor(x / step) * step : x;
+        };
+        const std::vector<ResourceId> cores = anchors();
+        // Scale the deadline grid with the cores a task can reach (an
+        // islands task reaches a quarter of them), so every platform is
+        // loaded to the point where some rungs fail and some succeed.
+        const double reach = kind == DiffPlatform::islands ? 0.25 : 1.0;
+        const double scale = std::round(220.0 / (reach * static_cast<double>(cores.size())));
+
+        if (rng.bernoulli(0.5)) {
+            std::vector<CriticalTask> critical;
+            const ResourceId core = cores[rng.index(cores.size())];
+            critical.push_back(
+                CriticalTask{"crit", core, 40.0, draw(0.0, 20.0, 1.0), draw(2.0, 12.0, 1.0), 1.0});
+            reservations = ReservationTable(std::move(critical));
+            context.reservations = &reservations;
+        }
+        if (rng.bernoulli(0.6)) {
+            health.set_throttle(platform, cores[rng.index(cores.size())], draw(1.25, 2.0, 0.25));
+            if (rng.bernoulli(0.4))
+                health.set_online(platform, cores[rng.index(cores.size())], false);
+            context.health = &health;
+        }
+
+        const std::size_t task_count = 19 + rng.index(11); // plus the candidate: 20-30
+        for (std::size_t j = 0; j < task_count; ++j) {
+            ActiveTask task = task_of(j, rng.index(catalog.size()), 0.0, 0.0);
+            const TaskType& type = catalog.type(task.type);
+            task.absolute_deadline = 5.0 + scale * static_cast<double>(1 + rng.index(8));
+            task.resource =
+                type.executable_resources()[rng.index(type.executable_resources().size())];
+            if (rng.bernoulli(0.4)) {
+                task.started = true;
+                task.remaining_fraction = draw(0.25, 1.0, 0.25);
+                if (!platform.resource(task.resource).preemptable()) task.pinned = true;
+            }
+            active.push_back(task);
+        }
+
+        context.now = 5.0;
+        context.platform = &platform;
+        context.catalog = &catalog;
+        context.active = active;
+        context.candidate = task_of(100, rng.index(catalog.size()), 5.0,
+                                    scale * static_cast<double>(1 + rng.index(8)));
+        const std::size_t predictions = rng.index(4);
+        for (std::size_t k = 0; k < predictions; ++k) {
+            context.predicted.push_back(PredictedTask{rng.index(catalog.size()),
+                                                      5.0 + draw(0.0, 10.0, 1.0),
+                                                      scale * static_cast<double>(1 + rng.index(8))});
+        }
+    }
+};
+
+class Algorithm1Differential
+    : public ::testing::TestWithParam<std::tuple<DiffPlatform, std::uint64_t>> {};
+
+TEST_P(Algorithm1Differential, IncrementalSolverMatchesTextbook) {
+    using Options = HeuristicRM::Options;
+    const auto [kind, seed] = GetParam();
+    const LoadedInstance loaded(kind, seed);
+    for (std::size_t k = 0; k <= loaded.context.predicted.size(); ++k) {
+        const PlanInstance instance = PlanInstance::build(loaded.context, k);
+        for (const Options::Order order :
+             {Options::Order::max_regret, Options::Order::edf, Options::Order::arrival}) {
+            for (const Options::Desirability desirability :
+                 {Options::Desirability::energy, Options::Desirability::energy_density}) {
+                Options options;
+                options.order = order;
+                options.desirability = desirability;
+                const auto expected = textbook_map_tasks(instance, options);
+                const auto actual = HeuristicRM::map_tasks(instance, options);
+                ASSERT_EQ(actual.has_value(), expected.has_value())
+                    << "rung " << k << " order " << static_cast<int>(order)
+                    << " desirability " << static_cast<int>(desirability);
+                if (!expected) continue;
+                EXPECT_TRUE(std::equal(actual->begin(), actual->end(), expected->begin(),
+                                       expected->end()))
+                    << "rung " << k << " order " << static_cast<int>(order)
+                    << " desirability " << static_cast<int>(desirability);
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(LoadedInstances, Algorithm1Differential,
+                         ::testing::Combine(::testing::Values(DiffPlatform::paper,
+                                                              DiffPlatform::dvfs,
+                                                              DiffPlatform::islands),
+                                            ::testing::Range<std::uint64_t>(0, 40)));
+
+/// The flip test's boundary, directed: a lane whose cpm equals its core's
+/// capacity fits, and stops fitting once a placement takes any of it.
+/// X (largest regret) goes to CPU0 first, leaving 40 of 100.  B fitted CPU0
+/// exactly (cpm 100), so B is left with one lane: infinite regret, placed
+/// next on CPU1, and D then fits only CPU0.  A solver that missed B's flip
+/// would pick D (regret 50 > B's stale 10), put D on CPU1, and leave B
+/// nowhere to go.
+TEST(HeuristicRM, LaneThatExactlyFillsItsCoreFlipsOnTheNextPlacement) {
+    PlatformBuilder builder;
+    const Platform platform = builder.add_cpu("CPU0").add_cpu("CPU1").build();
+    const std::vector<std::vector<double>> zero(2, std::vector<double>(2, 0.0));
+    std::vector<TaskType> types;
+    types.emplace_back(0, std::vector<double>{60.0, 60.0}, std::vector<double>{1.0, 100.0},
+                       zero, zero); // X
+    types.emplace_back(1, std::vector<double>{100.0, 50.0}, std::vector<double>{10.0, 20.0},
+                       zero, zero); // B
+    types.emplace_back(2, std::vector<double>{30.0, 60.0}, std::vector<double>{55.0, 5.0},
+                       zero, zero); // D
+    const Catalog catalog(std::move(types));
+
+    const std::vector<ActiveTask> active{task_of(0, 0, 0.0, 100.0), task_of(1, 2, 0.0, 100.0)};
+    ArrivalContext context;
+    context.now = 0.0;
+    context.platform = &platform;
+    context.catalog = &catalog;
+    context.active = active;
+    context.candidate = task_of(2, 1, 0.0, 100.0);
+
+    const PlanInstance instance = PlanInstance::build(context, 0);
+    const auto mapping = HeuristicRM::map_tasks(instance);
+    ASSERT_TRUE(mapping.has_value());
+    const std::vector<ResourceId> expected{0, 0, 1}; // X, D, B
+    EXPECT_TRUE(std::equal(mapping->begin(), mapping->end(), expected.begin(), expected.end()));
+    const auto textbook = textbook_map_tasks(instance, HeuristicRM::Options{});
+    ASSERT_TRUE(textbook.has_value());
+    EXPECT_EQ(*textbook, expected);
+}
 
 TEST(ExactRM, NodeLimitReturnsBestEffort) {
     const RandomInstance random(17, /*max_tasks=*/5);

@@ -324,9 +324,15 @@ TEST(ShardDirected, CrossShardTieBreaksMatchSequential) {
         ASSERT_TRUE(b.admitted) << sharded->name();
         ASSERT_EQ(b.assignments.size(), 3u) << sharded->name();
         for (const TaskAssignment& assignment : b.assignments) {
-            if (assignment.uid == 0) EXPECT_EQ(assignment.resource, 0u);
-            if (assignment.uid == 1) EXPECT_EQ(assignment.resource, 1u);
-            if (assignment.uid == 100) EXPECT_EQ(assignment.resource, 0u);
+            if (assignment.uid == 0) {
+                EXPECT_EQ(assignment.resource, 0u);
+            }
+            if (assignment.uid == 1) {
+                EXPECT_EQ(assignment.resource, 1u);
+            }
+            if (assignment.uid == 100) {
+                EXPECT_EQ(assignment.resource, 0u);
+            }
         }
     }
 }
