@@ -24,12 +24,13 @@ constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 /// threshold degrade to `unknown` and fall back to the simulation.
 constexpr double kSafety = 1e-7;
 
-/// Struct-of-arrays task records for the EDF inner loop.  The dispatch scans
-/// (pick, next-reservation, preemption horizon) touch one or two fields of
-/// every open task per step; parallel arrays keep those scans cache-dense
-/// instead of striding over 56-byte records.  Thread-local: admission probes
-/// run this thousands of times per trace and must not pay a heap round-trip
-/// each time.
+/// Struct-of-arrays task records for the EDF inner loop, plus the two
+/// dispatch orders over them.  The dispatch searches (pick, next
+/// reservation, idle target, preemption horizon) read one or two fields per
+/// visited task; parallel arrays keep those reads cache-dense instead of
+/// striding over 56-byte records.  Thread-local: admission probes run this
+/// thousands of times per trace and must not pay a heap round-trip each
+/// time.
 struct EdfArrays {
     std::vector<Time> release;
     std::vector<Time> deadline;
@@ -37,6 +38,8 @@ struct EdfArrays {
     std::vector<TaskUid> uid;
     std::vector<std::uint8_t> reserved;
     std::vector<std::uint8_t> done;
+    std::vector<std::uint32_t> by_priority; ///< indices in edf_before order
+    std::vector<std::uint32_t> by_release;  ///< indices in release order
 
     void clear() noexcept {
         release.clear();
@@ -45,9 +48,13 @@ struct EdfArrays {
         uid.clear();
         reserved.clear();
         done.clear();
+        by_priority.clear();
+        by_release.clear();
     }
 
     void push(const ScheduleItem& item) {
+        by_priority.push_back(static_cast<std::uint32_t>(release.size()));
+        by_release.push_back(static_cast<std::uint32_t>(release.size()));
         release.push_back(item.release);
         deadline.push_back(item.abs_deadline);
         remaining.push_back(item.duration);
@@ -60,10 +67,20 @@ struct EdfArrays {
 };
 
 /// Shared preemptive/non-preemptive EDF simulation.  When `record` is null
-/// only feasibility is computed.  The task records live in struct-of-arrays
-/// layout; every comparison happens in the same order as the historical
-/// array-of-structs loop, so timelines and verdicts are bit-identical
-/// (tests/test_edf.cpp pins them).
+/// only feasibility is computed.
+///
+/// Every dispatch search is a minimum over the open tasks under a fixed
+/// order, so the open tasks are sorted once per call instead of rescanned
+/// per dispatch step (DESIGN.md §13, "The sorted-order EDF loop"):
+///   * the pick is the first ready open task in priority (edf_before) order,
+///     past a cursor over the prefix of finished tasks;
+///   * the next reservation, the idle target and the preemption horizon
+///     are the first matching open task in release order at or after a
+///     cursor over the released prefix — `cur` never moves backwards, so
+///     neither cursor does.
+/// Each search returns the task a full scan would, with the identical Time
+/// value, so timelines and verdicts are bit-identical to the quadratic
+/// loop (tests/test_edf.cpp pins them against a copy of it).
 bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleItem> items,
                   ResourceTimeline* record, std::vector<TaskCompletion>* completion) {
     RMWP_STAGE_SCOPE(obs::Stage::edf_simulate);
@@ -93,15 +110,18 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
     EdfArrays& soa = soa_buffer;
     soa.clear();
 
-    // Strict-weak EDF ordering with deterministic tie-breaks.  Design-time
-    // reservations outrank every adaptive task; the predicted task carries
-    // the maximum uid, so on deadline ties real tasks win — exactly the
-    // paper's "SL1 = deadline earlier than or equal to tau_p".
+    // EDF ordering with deterministic tie-breaks.  Design-time reservations
+    // outrank every adaptive task; the predicted task carries the maximum
+    // uid, so on deadline ties real tasks win — exactly the paper's "SL1 =
+    // deadline earlier than or equal to tau_p".  Input position makes the
+    // order total, so the first match in by_priority is the first of the
+    // minimal items in input order, the one a linear scan would keep.
     auto edf_before = [&](std::size_t a, std::size_t b) noexcept {
         if (soa.reserved[a] != soa.reserved[b]) return soa.reserved[a] != 0;
         if (soa.deadline[a] != soa.deadline[b]) return soa.deadline[a] < soa.deadline[b];
         if (soa.release[a] != soa.release[b]) return soa.release[a] < soa.release[b];
-        return soa.uid[a] < soa.uid[b];
+        if (soa.uid[a] != soa.uid[b]) return soa.uid[a] < soa.uid[b];
+        return a < b;
     };
 
     // Whether a not-yet-released task `u` preempts the currently running
@@ -136,59 +156,77 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
     std::size_t open = 0;
     for (std::size_t j = 0; j < count; ++j)
         if (soa.done[j] == 0) ++open;
+    if (open == 0) return feasible;
+
+    std::sort(soa.by_priority.begin(), soa.by_priority.end(), edf_before);
+    std::sort(soa.by_release.begin(), soa.by_release.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  if (soa.release[a] != soa.release[b]) return soa.release[a] < soa.release[b];
+                  return a < b;
+              });
+    std::size_t first_open = 0;  ///< by_priority: everything before it is done
+    std::size_t first_future = 0; ///< by_release: everything before it is released
+
+    // First open, released task in priority order satisfying `accept`.
+    auto first_ready = [&](auto&& accept) {
+        for (std::size_t p = first_open; p < count; ++p) {
+            const std::size_t j = soa.by_priority[p];
+            if (soa.done[j] == 0 && soa.release[j] <= cur + kEps && accept(j)) return j;
+        }
+        return kNone;
+    };
+    // First open, not yet released task in release order satisfying
+    // `accept`, looking no further than releases below `limit`.
+    auto first_future_open = [&](Time limit, auto&& accept) {
+        for (std::size_t p = first_future; p < count; ++p) {
+            const std::size_t j = soa.by_release[p];
+            if (!(soa.release[j] < limit)) break;
+            if (soa.done[j] == 0 && accept(j)) return j;
+        }
+        return kNone;
+    };
+    constexpr Time kForever = std::numeric_limits<Time>::infinity();
+    auto release_or_forever = [&](std::size_t j) { return j == kNone ? kForever : soa.release[j]; };
 
     while (open > 0) {
+        while (soa.done[soa.by_priority[first_open]] != 0) ++first_open;
+        while (first_future < count && soa.release[soa.by_release[first_future]] <= cur + kEps)
+            ++first_future;
+
         // Highest-priority ready item (reservations first, then EDF).
-        std::size_t pick = kNone;
-        for (std::size_t j = 0; j < count; ++j) {
-            if (soa.done[j] != 0 || soa.release[j] > cur + kEps) continue;
-            if (pick == kNone || edf_before(j, pick)) pick = j;
-        }
+        std::size_t pick = first_ready([](std::size_t) { return true; });
 
         // Non-preemptable resources dispatch at boundaries only, so an
         // adaptive task may start only if it completes before the next
         // reservation begins — otherwise it would overrun a window that is
         // guaranteed at design time.  Fall back to the longest-fitting EDF
         // choice, or idle until the reservation.
-        Time next_reservation = std::numeric_limits<Time>::infinity();
-        for (std::size_t j = 0; j < count; ++j)
-            if (soa.done[j] == 0 && soa.reserved[j] != 0 && soa.release[j] > cur + kEps)
-                next_reservation = std::min(next_reservation, soa.release[j]);
+        const Time next_reservation = release_or_forever(
+            first_future_open(kForever, [&](std::size_t j) { return soa.reserved[j] != 0; }));
         if (!resource.preemptable() && pick != kNone && soa.reserved[pick] == 0 &&
             cur + soa.remaining[pick] > next_reservation + kEps) {
-            pick = kNone;
-            for (std::size_t j = 0; j < count; ++j) {
-                if (soa.done[j] != 0 || soa.release[j] > cur + kEps || soa.reserved[j] != 0)
-                    continue;
-                if (cur + soa.remaining[j] > next_reservation + kEps) continue;
-                if (pick == kNone || edf_before(j, pick)) pick = j;
-            }
+            pick = first_ready([&](std::size_t j) {
+                return soa.reserved[j] == 0 && cur + soa.remaining[j] <= next_reservation + kEps;
+            });
         }
 
         if (pick == kNone) {
             // Nothing dispatchable: idle to the next release (a future
             // arrival or the next reserved window).
-            Time next = next_reservation;
-            for (std::size_t j = 0; j < count; ++j)
-                if (soa.done[j] == 0 && soa.release[j] > cur + kEps)
-                    next = std::min(next, soa.release[j]);
+            const Time next =
+                release_or_forever(first_future_open(kForever, [](std::size_t) { return true; }));
             RMWP_ENSURE(std::isfinite(next));
             cur = std::max(cur, next);
             continue;
         }
 
-        Time end = cur + soa.remaining[pick];
+        const Time end = cur + soa.remaining[pick];
         if (resource.preemptable()) {
             // A future release preempts the running task if it outranks it
             // (a reservation always; an adaptive task by earlier deadline).
-            Time preempt_at = std::numeric_limits<Time>::infinity();
-            for (std::size_t j = 0; j < count; ++j) {
-                if (soa.done[j] != 0 || j == pick) continue;
-                if (soa.release[j] > cur + kEps && soa.release[j] < end - kEps &&
-                    preempts(j, pick)) {
-                    preempt_at = std::min(preempt_at, soa.release[j]);
-                }
-            }
+            // The pick is released, so it is never among the candidates.
+            const Time preempt_at = release_or_forever(
+                first_future_open(end - kEps, [&](std::size_t j) { return preempts(j, pick); }));
             if (preempt_at < end) {
                 emit(soa.uid[pick], cur, preempt_at);
                 soa.remaining[pick] -= preempt_at - cur;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 
 #include "core/edf.hpp"
 #include "core/shard.hpp"
@@ -51,6 +52,26 @@ struct ExactSum {
     }
 };
 
+/// A rejection is a proof of infeasibility only when every failed ladder
+/// step exhausted its search tree; otherwise (node limit hit with no
+/// incumbent) it is only the budget speaking.
+RejectReason reject_reason(bool proven) {
+    return proven ? RejectReason::proved_infeasible : RejectReason::solver_infeasible;
+}
+
+/// Admission-ladder solver over a whole instance: ANDs each failed
+/// solve's proof flag into `proven`.
+auto proof_tracking_solver(const ExactRM::Options& options, bool& proven) {
+    return [&options,
+            &proven](const PlanInstance& instance) -> std::optional<std::vector<ResourceId>> {
+        bool step_proven = true;
+        if (auto result = ExactRM::optimize(instance, options, &step_proven))
+            return std::move(result->mapping);
+        proven = proven && step_proven;
+        return std::nullopt;
+    };
+}
+
 /// ShardedSolver callback: branch-and-bound over one bucket's sub-instance.
 /// Costs and feasibility separate across buckets, so the per-bucket optima
 /// compose into the global optimum; `proven` reports whether a failure
@@ -72,7 +93,7 @@ bool sharded_optimize(const PlanInstance& sub, std::vector<ResourceId>& mapping,
 /// Depth-first search state.  Pooled thread-locally (search_scratch):
 /// admission runs the search thousands of times per trace, and the
 /// per-call vector churn (order, suffix bounds, per-resource partial
-/// schedules, per-depth candidate lists) was pure allocator traffic.
+/// schedules, candidate lists) was pure allocator traffic.
 struct Search {
     const PlanInstance* instance = nullptr;
     const ExactRM::Options* options = nullptr;
@@ -80,7 +101,10 @@ struct Search {
     std::vector<std::size_t> order;           ///< task indices, most-constrained first
     std::vector<ExactSum> min_cost_suffix;    ///< optimistic cost of order[d..]
     std::vector<std::vector<ScheduleItem>> assigned; ///< per-resource partial schedule
-    std::vector<std::vector<ResourceId>> candidates_by_depth; ///< per-depth scratch
+    /// Executable resources of task order[d], cheapest first, at
+    /// candidates[candidate_begin[d] .. candidate_begin[d + 1]).
+    std::vector<ResourceId> candidates;
+    std::vector<std::size_t> candidate_begin;
 
     std::vector<ResourceId> current;          ///< current[j] = resource of tasks[j]
     std::vector<ResourceId> best;
@@ -103,7 +127,6 @@ struct Search {
             assigned[i].insert(assigned[i].end(), inst.blocks[i].begin(), inst.blocks[i].end());
             std::sort(assigned[i].begin(), assigned[i].end(), demand_order);
         }
-        if (candidates_by_depth.size() < count) candidates_by_depth.resize(count);
         current.assign(count, 0);
         best.clear();
         best_cost = ExactSum{kInfinity, 0.0};
@@ -130,15 +153,41 @@ struct Search {
             return a < b;
         });
 
+        // Cheapest-first exploration finds a good incumbent early, and it
+        // is what makes dfs's candidate cutoff exact.  Resource id breaks
+        // energy ties so the exploration order is total — under equal-cost
+        // optima the incumbent that survives the strict `<` improvement
+        // test is then the same whether the task set arrived whole or as a
+        // per-shard sub-instance.  A task's list is the same at every node
+        // of the tree, so it is sorted once per solve.
+        candidates.clear();
+        candidate_begin.resize(count + 1);
+        for (std::size_t d = 0; d < count; ++d) {
+            const PlanTask& task = inst.tasks[order[d]];
+            candidate_begin[d] = candidates.size();
+            candidates.insert(candidates.end(), task.executable.begin(), task.executable.end());
+            std::sort(candidates.begin() + static_cast<std::ptrdiff_t>(candidate_begin[d]),
+                      candidates.end(), [&](ResourceId a, ResourceId b) {
+                          if (task.epm[a] != task.epm[b]) return task.epm[a] < task.epm[b];
+                          return a < b;
+                      });
+        }
+        candidate_begin[count] = candidates.size();
+
         min_cost_suffix.assign(count + 1, ExactSum{});
         for (std::size_t d = count; d-- > 0;) {
-            const PlanTask& task = inst.tasks[order[d]];
-            double cheapest = kInfinity;
-            for (const ResourceId i : task.executable) cheapest = std::min(cheapest, task.epm[i]);
+            const std::span<const ResourceId> list = candidates_at(d);
+            const double cheapest =
+                list.empty() ? kInfinity : inst.tasks[order[d]].epm[list.front()];
             min_cost_suffix[d] = std::isfinite(cheapest) && std::isfinite(min_cost_suffix[d + 1].hi)
                                      ? min_cost_suffix[d + 1].plus(cheapest)
                                      : ExactSum{kInfinity, 0.0};
         }
+    }
+
+    [[nodiscard]] std::span<const ResourceId> candidates_at(std::size_t depth) const {
+        return std::span<const ResourceId>(candidates)
+            .subspan(candidate_begin[depth], candidate_begin[depth + 1] - candidate_begin[depth]);
     }
 
     /// True when `cost` plus the optimistic suffix can still strictly
@@ -151,12 +200,22 @@ struct Search {
         return cost.plus(suffix.hi).plus(suffix.lo).less_than(best_cost);
     }
 
-    void dfs(std::size_t depth, ExactSum cost) {
+    /// Count one node against the budget; false once it is spent.
+    bool enter() {
         if (nodes >= options->node_limit) {
             proven = false;
-            return;
+            return false;
         }
         ++nodes;
+        return true;
+    }
+
+    /// Search below a node its parent has already bounded: the parent ran
+    /// can_improve(cost, min_cost_suffix[depth]) against the incumbent
+    /// this call starts with, so the node needs no entry bound of its own
+    /// (optimize bounds the root).
+    void dfs(std::size_t depth, ExactSum cost) {
+        if (!enter()) return;
 
         if (depth == order.size()) {
             if (cost.less_than(best_cost)) {
@@ -165,27 +224,24 @@ struct Search {
             }
             return;
         }
-        if (!can_improve(cost, min_cost_suffix[depth])) return; // bound
 
         const std::size_t j = order[depth];
         const PlanTask& task = instance->tasks[j];
-
-        // Cheapest-first exploration finds a good incumbent early.  Each
-        // recursion depth owns one pooled candidate buffer.  Resource id
-        // breaks energy ties so the exploration order is total — under
-        // equal-cost optima the incumbent that survives the strict `<`
-        // improvement test is then the same whether the task set arrived
-        // whole or as a per-shard sub-instance.
-        std::vector<ResourceId>& candidates = candidates_by_depth[depth];
-        candidates.assign(task.executable.begin(), task.executable.end());
-        std::sort(candidates.begin(), candidates.end(), [&](ResourceId a, ResourceId b) {
-            if (task.epm[a] != task.epm[b]) return task.epm[a] < task.epm[b];
-            return a < b;
-        });
-
-        for (const ResourceId i : candidates) {
+        const ExactSum& suffix = min_cost_suffix[depth + 1];
+        const std::span<const ResourceId> list = candidates_at(depth);
+        for (std::size_t k = 0; k < list.size(); ++k) {
+            const ResourceId i = list[k];
             const ExactSum next_cost = cost.plus(task.epm[i]);
-            if (!can_improve(next_cost, min_cost_suffix[depth + 1])) continue;
+            if (!can_improve(next_cost, suffix)) {
+                // The list ascends in epm and the sums compare as exact
+                // reals, so every later candidate costs at least as much
+                // and fails the same bound against the same incumbent.
+#ifdef RMWP_AUDIT
+                for (std::size_t r = k + 1; r < list.size(); ++r)
+                    RMWP_ENSURE(!can_improve(cost.plus(task.epm[list[r]]), suffix));
+#endif
+                break;
+            }
 
             // Operating points of a DVFS core share the core's timeline, so
             // partial schedules are kept per physical anchor.
@@ -221,7 +277,11 @@ std::optional<ExactRM::Result> ExactRM::optimize(const PlanInstance& instance,
 
     Search& search = search_scratch();
     search.reset(instance, options);
-    search.dfs(0, ExactSum{});
+    // The root is the one node no parent bounds.  Its optimistic cost is
+    // infinite only when some task has no finite-energy resource, and then
+    // the root alone is the proof of infeasibility.
+    if (std::isfinite(search.min_cost_suffix.front().hi)) search.dfs(0, ExactSum{});
+    else search.enter();
 
     if (proven_out != nullptr) *proven_out = search.proven;
     if (search.best.empty()) return std::nullopt;
@@ -235,37 +295,12 @@ std::optional<ExactRM::Result> ExactRM::optimize(const PlanInstance& instance,
 }
 
 Decision ExactRM::decide(const ArrivalContext& context) {
-    // Track whether every failed ladder step exhausted its search tree: if
-    // so the rejection is a proof of infeasibility, otherwise (node limit
-    // hit with no incumbent) it is only the budget speaking.
-    bool proven = true;
     const ShardConfig& shard = shard_config();
-    Decision decision =
-        shard.shards > 1
-            ? [&] {
-                  ShardPartition& partition = ShardPartition::local();
-                  partition.rebuild(*context.platform, *context.catalog);
-                  ShardedSolver& solver = ShardedSolver::local();
-                  return run_admission_ladder(context, [&](const PlanInstance& instance) {
-                      ShardedSolver::RunStats stats;
-                      auto mapping = solver.run(instance, partition, shard, &sharded_optimize,
-                                                &options_, /*use_cache=*/false, &stats);
-                      if (!mapping.has_value()) proven = proven && stats.proven;
-                      return mapping;
-                  });
-              }()
-            : run_admission_ladder(
-                  context,
-                  [this, &proven](
-                      const PlanInstance& instance) -> std::optional<std::vector<ResourceId>> {
-                      bool step_proven = true;
-                      if (auto result = optimize(instance, options_, &step_proven))
-                          return std::move(result->mapping);
-                      proven = proven && step_proven;
-                      return std::nullopt;
-                  });
-    if (!decision.admitted)
-        decision.reason = proven ? RejectReason::proved_infeasible : RejectReason::solver_infeasible;
+    if (shard.shards > 1)
+        return decide_sharded(context, shard, &sharded_optimize, &options_, &reject_reason);
+    bool proven = true;
+    Decision decision = run_admission_ladder(context, proof_tracking_solver(options_, proven));
+    if (!decision.admitted) decision.reason = reject_reason(proven);
     RMWP_ENSURE(decision.admitted || decision.reason == RejectReason::proved_infeasible ||
                 decision.reason == RejectReason::solver_infeasible);
     return decision;
@@ -273,8 +308,9 @@ Decision ExactRM::decide(const ArrivalContext& context) {
 
 void ExactRM::decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) {
     RMWP_EXPECT(batch.platform != nullptr && batch.catalog != nullptr);
-    if (shard_config().shards > 1) {
-        decide_batch_sharded(batch, out);
+    const ShardConfig& shard = shard_config();
+    if (shard.shards > 1) {
+        decide_batch_sharded(batch, shard, &sharded_optimize, &options_, &reject_reason, out);
         return;
     }
     BatchPlanner planner(batch);
@@ -282,50 +318,9 @@ void ExactRM::decide_batch(const BatchArrivalContext& batch, std::vector<Decisio
     out.reserve(batch.items.size());
     for (std::size_t m = 0; m < planner.item_count(); ++m) {
         bool proven = true;
-        Decision decision = run_admission_ladder_batch(
-            planner, m,
-            [this,
-             &proven](const PlanInstance& instance) -> std::optional<std::vector<ResourceId>> {
-                bool step_proven = true;
-                if (auto result = optimize(instance, options_, &step_proven))
-                    return std::move(result->mapping);
-                proven = proven && step_proven;
-                return std::nullopt;
-            });
-        if (!decision.admitted)
-            decision.reason =
-                proven ? RejectReason::proved_infeasible : RejectReason::solver_infeasible;
-        out.push_back(std::move(decision));
-    }
-    RMWP_ENSURE(out.size() == batch.items.size());
-}
-
-void ExactRM::decide_batch_sharded(const BatchArrivalContext& batch, std::vector<Decision>& out) {
-    RMWP_EXPECT(shard_config().shards > 1);
-    const ShardConfig& shard = shard_config();
-    BatchPlanner planner(batch);
-    ShardPartition& partition = ShardPartition::local();
-    partition.rebuild(*batch.platform, *batch.catalog);
-    ShardedSolver& solver = ShardedSolver::local();
-    solver.begin_batch(batch, partition, shard.shards);
-    out.clear();
-    out.reserve(batch.items.size());
-    for (std::size_t m = 0; m < planner.item_count(); ++m) {
-        bool proven = true;
         Decision decision =
-            run_admission_ladder_batch(planner, m, [&](const PlanInstance& instance) {
-                ShardedSolver::RunStats stats;
-                auto mapping = solver.run(instance, partition, shard, &sharded_optimize, &options_,
-                                          /*use_cache=*/true, &stats);
-                if (!mapping.has_value()) proven = proven && stats.proven;
-                return mapping;
-            });
-        if (!decision.admitted)
-            decision.reason =
-                proven ? RejectReason::proved_infeasible : RejectReason::solver_infeasible;
-        if (decision.admitted)
-            solver.note_admission(decision, batch.items[m].candidate, partition, *batch.catalog,
-                                  shard.shards);
+            run_admission_ladder_batch(planner, m, proof_tracking_solver(options_, proven));
+        if (!decision.admitted) decision.reason = reject_reason(proven);
         out.push_back(std::move(decision));
     }
     RMWP_ENSURE(out.size() == batch.items.size());
@@ -335,12 +330,8 @@ RescueDecision ExactRM::rescue(const RescueContext& context) {
     RMWP_EXPECT(context.platform != nullptr && context.health != nullptr);
     Options rescue_options = options_;
     rescue_options.node_limit = std::min(options_.node_limit, options_.rescue_node_limit);
-    return run_rescue_ladder(
-        context,
-        [&rescue_options](const PlanInstance& instance) -> std::optional<std::vector<ResourceId>> {
-            if (auto result = optimize(instance, rescue_options)) return std::move(result->mapping);
-            return std::nullopt;
-        });
+    bool proven = true; // a rescue sheds the next victim either way
+    return run_rescue_ladder(context, proof_tracking_solver(rescue_options, proven));
 }
 
 } // namespace rmwp

@@ -70,8 +70,6 @@ public:
     }
 
 private:
-    void decide_batch_sharded(const BatchArrivalContext& batch, std::vector<Decision>& out);
-
     Options options_;
 };
 

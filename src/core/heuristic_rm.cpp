@@ -32,6 +32,10 @@ bool sharded_map_tasks(const PlanInstance& sub, std::vector<ResourceId>& mapping
     return true;
 }
 
+/// Algorithm 1 is incomplete: a rejection means the regret-driven search was
+/// exhausted, not that no schedulable mapping exists (Sec 5.2).
+RejectReason exhausted(bool /*proven*/) { return RejectReason::heuristic_exhausted; }
+
 } // namespace
 
 std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInstance& instance,
@@ -190,22 +194,10 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
 
 Decision HeuristicRM::decide(const ArrivalContext& context) {
     const ShardConfig& shard = shard_config();
-    Decision decision =
-        shard.shards > 1
-            ? [&] {
-                  ShardPartition& partition = ShardPartition::local();
-                  partition.rebuild(*context.platform, *context.catalog);
-                  ShardedSolver& solver = ShardedSolver::local();
-                  return run_admission_ladder(context, [&](const PlanInstance& instance) {
-                      return solver.run(instance, partition, shard, &sharded_map_tasks,
-                                        &options_, /*use_cache=*/false);
-                  });
-              }()
-            : run_admission_ladder(context, [this](const PlanInstance& instance) {
-                  return map_tasks(instance, options_);
-              });
-    // Algorithm 1 is incomplete: a rejection means the regret-driven search
-    // was exhausted, not that no schedulable mapping exists (Sec 5.2).
+    if (shard.shards > 1)
+        return decide_sharded(context, shard, &sharded_map_tasks, &options_, &exhausted);
+    Decision decision = run_admission_ladder(
+        context, [this](const PlanInstance& instance) { return map_tasks(instance, options_); });
     if (!decision.admitted) decision.reason = RejectReason::heuristic_exhausted;
     RMWP_ENSURE(decision.admitted || decision.reason == RejectReason::heuristic_exhausted);
     return decision;
@@ -215,7 +207,7 @@ void HeuristicRM::decide_batch(const BatchArrivalContext& batch, std::vector<Dec
     RMWP_EXPECT(batch.platform != nullptr && batch.catalog != nullptr);
     const ShardConfig& shard = shard_config();
     if (shard.shards > 1) {
-        decide_batch_sharded(batch, out);
+        decide_batch_sharded(batch, shard, &sharded_map_tasks, &options_, &exhausted, out);
         return;
     }
     BatchPlanner planner(batch);
@@ -226,34 +218,6 @@ void HeuristicRM::decide_batch(const BatchArrivalContext& batch, std::vector<Dec
             return map_tasks(instance, options_);
         });
         if (!decision.admitted) decision.reason = RejectReason::heuristic_exhausted;
-        out.push_back(std::move(decision));
-    }
-    RMWP_ENSURE(out.size() == batch.items.size());
-}
-
-void HeuristicRM::decide_batch_sharded(const BatchArrivalContext& batch,
-                                       std::vector<Decision>& out) {
-    RMWP_EXPECT(shard_config().shards > 1);
-    const ShardConfig& shard = shard_config();
-    BatchPlanner planner(batch);
-    ShardPartition& partition = ShardPartition::local();
-    partition.rebuild(*batch.platform, *batch.catalog);
-    ShardedSolver& solver = ShardedSolver::local();
-    // The cross-item cache keys on bucket versions begun here: buckets no
-    // admission touches keep their solved verdict across the whole batch.
-    solver.begin_batch(batch, partition, shard.shards);
-    out.clear();
-    out.reserve(batch.items.size());
-    for (std::size_t m = 0; m < planner.item_count(); ++m) {
-        Decision decision =
-            run_admission_ladder_batch(planner, m, [&](const PlanInstance& instance) {
-                return solver.run(instance, partition, shard, &sharded_map_tasks,
-                                  &options_, /*use_cache=*/true);
-            });
-        if (!decision.admitted) decision.reason = RejectReason::heuristic_exhausted;
-        if (decision.admitted)
-            solver.note_admission(decision, batch.items[m].candidate, partition, *batch.catalog,
-                                  shard.shards);
         out.push_back(std::move(decision));
     }
     RMWP_ENSURE(out.size() == batch.items.size());

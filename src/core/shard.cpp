@@ -157,7 +157,7 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
                                                               const ShardPartition& partition,
                                                               const ShardConfig& config,
                                                               SolveFn solve, void* ctx,
-                                                              bool use_cache, RunStats* stats) {
+                                                              bool use_cache, bool& proven) {
     RMWP_EXPECT(instance.platform != nullptr);
     RMWP_EXPECT(!instance.tasks.empty());
     RMWP_EXPECT(instance.tasks.size() >= 1 + instance.predicted_count);
@@ -183,7 +183,6 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
 
     // 2. Serve what the cache can; queue the rest for a fresh solve.
     pending_.clear();
-    std::size_t populated = 0;
     for (std::size_t b = 0; b < bucket_count; ++b) {
         Bucket& bucket = buckets_[b];
         if (bucket.task_index.empty()) {
@@ -192,7 +191,6 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
             bucket.mapping.clear();
             continue;
         }
-        ++populated;
         if (use_cache && !bucket.item_local) {
             bool hit = false;
             for (CacheEntry& entry : bucket.cache) {
@@ -242,18 +240,13 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
     // 4. Verdict: the instance is feasible iff every bucket is; a failed
     // rung is *proven* infeasible when every failing bucket proved it.
     bool all_ok = true;
-    bool proven = true;
+    proven = true;
     for (std::size_t b = 0; b < bucket_count; ++b) {
         const Bucket& bucket = buckets_[b];
         if (!bucket.ok) {
             all_ok = false;
             proven = proven && bucket.proven;
         }
-    }
-    if (stats != nullptr) {
-        stats->proven = all_ok || proven;
-        stats->buckets = populated;
-        stats->solved = pending_.size();
     }
 
 #ifdef RMWP_AUDIT
@@ -291,6 +284,57 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
 ShardedSolver& ShardedSolver::local() {
     static thread_local ShardedSolver solver;
     return solver;
+}
+
+Decision decide_sharded(const ArrivalContext& context, const ShardConfig& config,
+                        ShardedSolver::SolveFn solve, void* ctx, RejectFn reject) {
+    RMWP_EXPECT(config.shards > 1);
+    ShardPartition& partition = ShardPartition::local();
+    partition.rebuild(*context.platform, *context.catalog);
+    ShardedSolver& solver = ShardedSolver::local();
+    bool proven = true;
+    Decision decision = run_admission_ladder(context, [&](const PlanInstance& instance) {
+        bool step_proven = true;
+        auto mapping = solver.run(instance, partition, config, solve, ctx, /*use_cache=*/false,
+                                  step_proven);
+        if (!mapping.has_value()) proven = proven && step_proven;
+        return mapping;
+    });
+    if (!decision.admitted) decision.reason = reject(proven);
+    return decision;
+}
+
+void decide_batch_sharded(const BatchArrivalContext& batch, const ShardConfig& config,
+                          ShardedSolver::SolveFn solve, void* ctx, RejectFn reject,
+                          std::vector<Decision>& out) {
+    RMWP_EXPECT(config.shards > 1);
+    BatchPlanner planner(batch);
+    ShardPartition& partition = ShardPartition::local();
+    partition.rebuild(*batch.platform, *batch.catalog);
+    ShardedSolver& solver = ShardedSolver::local();
+    // The cross-item cache keys on bucket versions begun here: buckets no
+    // admission touches keep their solved verdict across the whole batch.
+    solver.begin_batch(batch, partition, config.shards);
+    out.clear();
+    out.reserve(batch.items.size());
+    for (std::size_t m = 0; m < planner.item_count(); ++m) {
+        bool proven = true;
+        Decision decision =
+            run_admission_ladder_batch(planner, m, [&](const PlanInstance& instance) {
+                bool step_proven = true;
+                auto mapping = solver.run(instance, partition, config, solve, ctx,
+                                          /*use_cache=*/true, step_proven);
+                if (!mapping.has_value()) proven = proven && step_proven;
+                return mapping;
+            });
+        if (decision.admitted)
+            solver.note_admission(decision, batch.items[m].candidate, partition, *batch.catalog,
+                                  config.shards);
+        else
+            decision.reason = reject(proven);
+        out.push_back(std::move(decision));
+    }
+    RMWP_ENSURE(out.size() == batch.items.size());
 }
 
 } // namespace rmwp

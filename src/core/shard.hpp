@@ -103,12 +103,6 @@ public:
     using SolveFn = bool (*)(const PlanInstance& sub, std::vector<ResourceId>& mapping,
                              bool& proven, void* ctx);
 
-    struct RunStats {
-        bool proven = true;      ///< AND over the failed buckets' proofs
-        std::size_t buckets = 0; ///< non-empty buckets in this instance
-        std::size_t solved = 0;  ///< buckets solved fresh (not cache hits)
-    };
-
     ShardedSolver();
 
     /// Start a coalesced batch: resets bucket versions and the solve cache,
@@ -129,12 +123,12 @@ public:
     /// begin_batch), buckets not containing the item's candidate/predicted
     /// tail reuse their cached verdict when (version, window) match.
     /// Returns the merged mapping (valid until the next run on this
-    /// thread's solver), or nullopt when any bucket is infeasible.
+    /// thread's solver), or nullopt when any bucket is infeasible; then
+    /// `proven` is the AND over the failed buckets' proofs.
     std::optional<std::span<const ResourceId>> run(const PlanInstance& instance,
                                                    const ShardPartition& partition,
                                                    const ShardConfig& config, SolveFn solve,
-                                                   void* ctx, bool use_cache,
-                                                   RunStats* stats = nullptr);
+                                                   void* ctx, bool use_cache, bool& proven);
 
     /// The calling thread's pooled solver.
     [[nodiscard]] static ShardedSolver& local();
@@ -182,5 +176,21 @@ private:
     SolveFn active_solve_ = nullptr;
     void* active_ctx_ = nullptr;
 };
+
+/// Maps a rejection's proof flag to its reason: `proven` is the AND over
+/// every failed rung's bucket proofs (always true for a heuristic solver).
+using RejectFn = RejectReason (*)(bool proven);
+
+/// The sharded admission paths, shared by every RM whose solver plugs into
+/// ShardedSolver.  decide_sharded runs one arrival's admission ladder with
+/// each rung solved per bucket; decide_batch_sharded runs a coalesced batch
+/// over one BatchPlanner, with the cross-item solve cache and bucket
+/// invalidation on every admission, and replaces `out` with one decision
+/// per item.  A rejected decision's reason is `reject(proven)`.
+[[nodiscard]] Decision decide_sharded(const ArrivalContext& context, const ShardConfig& config,
+                                      ShardedSolver::SolveFn solve, void* ctx, RejectFn reject);
+void decide_batch_sharded(const BatchArrivalContext& batch, const ShardConfig& config,
+                          ShardedSolver::SolveFn solve, void* ctx, RejectFn reject,
+                          std::vector<Decision>& out);
 
 } // namespace rmwp

@@ -77,7 +77,11 @@ struct StageStats {
 
 namespace detail {
 /// The installed per-thread sink; nullptr (the default) disables every hook.
-extern thread_local StageStats* t_stage_stats;
+/// constinit: the variable has no dynamic initialisation, so other
+/// translation units read the TLS slot directly instead of through the
+/// compiler's TLS wrapper function, whose result UBSan reported as a null
+/// pointer load under ShardedSolver::run.
+extern constinit thread_local StageStats* t_stage_stats;
 } // namespace detail
 
 [[nodiscard]] inline StageStats* stage_stats() noexcept { return detail::t_stage_stats; }

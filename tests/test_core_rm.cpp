@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
 #include <tuple>
 
+#include "core/edf.hpp"
 #include "core/exact_rm.hpp"
 #include "core/heuristic_rm.hpp"
 #include "core/reservation.hpp"
@@ -454,6 +457,34 @@ Catalog whole_number_times(const Catalog& catalog) {
     return Catalog(std::move(types));
 }
 
+/// `catalog` with every energy (task and migration) rounded to a multiple
+/// of `step`: equal-energy placements, and with them the solvers' energy
+/// tie-breaks, become common.
+Catalog energies_on_grid(const Catalog& catalog, double step) {
+    const auto snap = [step](double e) {
+        return std::isfinite(e) ? std::max(step, std::round(e / step) * step) : e;
+    };
+    std::vector<TaskType> types;
+    for (const TaskType& type : catalog) {
+        const std::size_t n = type.resource_count();
+        std::vector<double> wcet;
+        std::vector<double> energy;
+        std::vector<std::vector<double>> migration_time(n);
+        std::vector<std::vector<double>> migration_energy(n);
+        for (ResourceId i = 0; i < n; ++i) {
+            wcet.push_back(type.wcet(i));
+            energy.push_back(snap(type.energy(i)));
+            for (ResourceId k = 0; k < n; ++k) {
+                migration_time[i].push_back(type.migration_time(i, k));
+                migration_energy[i].push_back(k == i ? 0.0 : snap(type.migration_energy(i, k)));
+            }
+        }
+        types.emplace_back(type.id(), std::move(wcet), std::move(energy),
+                           std::move(migration_time), std::move(migration_energy));
+    }
+    return Catalog(std::move(types));
+}
+
 /// A loaded activation of 20-30 tasks: enough work that capacities run out
 /// mid-solve and lanes stop fitting, with every instance feature the
 /// solver reads — pinned and partly executed tasks, predictions,
@@ -506,7 +537,9 @@ struct LoadedInstance {
         return out;
     }
 
-    LoadedInstance(DiffPlatform kind, std::uint64_t seed)
+    /// `min_tasks` + [0, `task_spread`) active tasks (default: 19-29).
+    LoadedInstance(DiffPlatform kind, std::uint64_t seed, std::size_t min_tasks = 19,
+                   std::size_t task_spread = 11)
         : platform(make_platform(kind)), catalog(make_catalog(platform, kind, seed)) {
         Rng rng(seed);
         const bool exact = seed % 2 == 1;
@@ -537,7 +570,7 @@ struct LoadedInstance {
             context.health = &health;
         }
 
-        const std::size_t task_count = 19 + rng.index(11); // plus the candidate: 20-30
+        const std::size_t task_count = min_tasks + rng.index(task_spread); // plus the candidate
         for (std::size_t j = 0; j < task_count; ++j) {
             ActiveTask task = task_of(j, rng.index(catalog.size()), 0.0, 0.0);
             const TaskType& type = catalog.type(task.type);
@@ -641,6 +674,161 @@ TEST(HeuristicRM, LaneThatExactlyFillsItsCoreFlipsOnTheNextPlacement) {
     ASSERT_TRUE(textbook.has_value());
     EXPECT_EQ(*textbook, expected);
 }
+
+// ---- the exact B&B against a textbook re-statement ----
+
+/// Branch-and-bound as it reads in a textbook: every node re-checks the
+/// bound on entry, re-sorts its task's candidates, and skips (rather than
+/// stops at) a candidate that fails the bound.  The production search sorts
+/// each task's candidates once per solve and stops at the first bounded
+/// one; it must return the same mapping and energy bits, visit the same
+/// number of nodes, and agree on proven optimality — at any node limit, so
+/// a truncated search stops on the same node.
+struct TextbookBnB {
+    /// Double-double exact sum, as ExactRM keeps its costs.
+    struct Sum {
+        double hi = 0.0;
+        double lo = 0.0;
+        [[nodiscard]] Sum plus(double x) const {
+            const double s = hi + x;
+            const double b = s - hi;
+            const double err = ((hi - (s - b)) + (x - b)) + lo;
+            const double h = s + err;
+            return Sum{h, err - (h - s)};
+        }
+        [[nodiscard]] bool less_than(const Sum& other) const {
+            if (hi != other.hi) return hi < other.hi;
+            return lo < other.lo;
+        }
+    };
+    static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+    const PlanInstance& instance;
+    std::uint64_t node_limit;
+    std::vector<std::size_t> order;
+    std::vector<Sum> suffix;
+    std::vector<std::vector<ScheduleItem>> assigned;
+    std::vector<ResourceId> current;
+    std::vector<ResourceId> best;
+    Sum best_cost{kInf, 0.0};
+    bool proven = true;
+    std::uint64_t nodes = 0;
+
+    TextbookBnB(const PlanInstance& inst, std::uint64_t limit)
+        : instance(inst), node_limit(limit), assigned(inst.blocks),
+          current(inst.tasks.size(), 0) {
+        const std::size_t count = inst.tasks.size();
+        for (auto& items : assigned) std::sort(items.begin(), items.end(), demand_order);
+        order.resize(count);
+        for (std::size_t j = 0; j < count; ++j) order[j] = j;
+        std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+            const PlanTask& ta = inst.tasks[a];
+            const PlanTask& tb = inst.tasks[b];
+            if (ta.executable.size() != tb.executable.size())
+                return ta.executable.size() < tb.executable.size();
+            if (ta.abs_deadline != tb.abs_deadline) return ta.abs_deadline < tb.abs_deadline;
+            return a < b;
+        });
+        suffix.assign(count + 1, Sum{});
+        for (std::size_t d = count; d-- > 0;) {
+            const PlanTask& task = inst.tasks[order[d]];
+            double cheapest = kInf;
+            for (const ResourceId i : task.executable) cheapest = std::min(cheapest, task.epm[i]);
+            suffix[d] = std::isfinite(cheapest) && std::isfinite(suffix[d + 1].hi)
+                            ? suffix[d + 1].plus(cheapest)
+                            : Sum{kInf, 0.0};
+        }
+        dfs(0, Sum{});
+    }
+
+    [[nodiscard]] bool can_improve(const Sum& cost, const Sum& rest) const {
+        if (!std::isfinite(rest.hi)) return false;
+        return cost.plus(rest.hi).plus(rest.lo).less_than(best_cost);
+    }
+
+    void dfs(std::size_t depth, Sum cost) {
+        if (nodes >= node_limit) {
+            proven = false;
+            return;
+        }
+        ++nodes;
+        if (depth == order.size()) {
+            if (cost.less_than(best_cost)) {
+                best_cost = cost;
+                best = current;
+            }
+            return;
+        }
+        if (!can_improve(cost, suffix[depth])) return;
+        const std::size_t j = order[depth];
+        const PlanTask& task = instance.tasks[j];
+        std::vector<ResourceId> candidates(task.executable.begin(), task.executable.end());
+        std::sort(candidates.begin(), candidates.end(), [&](ResourceId a, ResourceId b) {
+            if (task.epm[a] != task.epm[b]) return task.epm[a] < task.epm[b];
+            return a < b;
+        });
+        for (const ResourceId i : candidates) {
+            const Sum next = cost.plus(task.epm[i]);
+            if (!can_improve(next, suffix[depth + 1])) continue;
+            const ResourceId anchor = instance.platform->resource(i).physical();
+            const std::size_t pos = insert_demand_ordered(assigned[anchor], instance.item_for(j, i));
+            if (resource_feasible_sorted(instance.platform->resource(anchor), instance.now,
+                                         assigned[anchor])) {
+                current[j] = i;
+                dfs(depth + 1, next);
+            }
+            assigned[anchor].erase(assigned[anchor].begin() + static_cast<std::ptrdiff_t>(pos));
+            if (!proven && best.empty()) return;
+        }
+    }
+};
+
+/// Platform, deadline scale, seed.  A scale below 1 pulls the admitted
+/// tasks' deadlines towards `now`: fewer mappings fit, so the search
+/// backtracks through thousands of nodes instead of a hundred.
+class ExactBnBDifferential
+    : public ::testing::TestWithParam<std::tuple<DiffPlatform, double, std::uint64_t>> {};
+
+TEST_P(ExactBnBDifferential, PresortedCutoffSearchMatchesTextbook) {
+    const auto [kind, scale, seed] = GetParam();
+    // 15-25 tasks with the candidate.  Odd seeds (whole-number times) also
+    // put energies on a coarse grid, so the resource-id tie-break decides.
+    LoadedInstance loaded(kind, seed, /*min_tasks=*/14, /*task_spread=*/11);
+    const Catalog tied = energies_on_grid(loaded.catalog, 4.0);
+    if (seed % 2 == 1) loaded.context.catalog = &tied;
+    const Time now = loaded.context.now;
+    for (ActiveTask& task : loaded.active)
+        task.absolute_deadline = now + (task.absolute_deadline - now) * scale;
+    for (std::size_t k = 0; k <= loaded.context.predicted.size(); ++k) {
+        const PlanInstance instance = PlanInstance::build(loaded.context, k);
+        for (const std::uint64_t limit :
+             {std::numeric_limits<std::uint64_t>::max(), std::uint64_t{50}, std::uint64_t{2}}) {
+            const TextbookBnB expected(instance, limit);
+            ExactRM::Options options;
+            options.node_limit = limit;
+            bool proven = false;
+            const auto actual = ExactRM::optimize(instance, options, &proven);
+            ASSERT_EQ(actual.has_value(), !expected.best.empty())
+                << "rung " << k << " limit " << limit;
+            EXPECT_EQ(proven, expected.proven) << "rung " << k << " limit " << limit;
+            if (!actual) continue;
+            EXPECT_EQ(actual->mapping, expected.best) << "rung " << k << " limit " << limit;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(actual->energy),
+                      std::bit_cast<std::uint64_t>(expected.best_cost.hi))
+                << "rung " << k << " limit " << limit;
+            EXPECT_EQ(actual->nodes, expected.nodes) << "rung " << k << " limit " << limit;
+            EXPECT_EQ(actual->proven_optimal, expected.proven)
+                << "rung " << k << " limit " << limit;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(LoadedInstances, ExactBnBDifferential,
+                         ::testing::Combine(::testing::Values(DiffPlatform::paper,
+                                                              DiffPlatform::dvfs,
+                                                              DiffPlatform::islands),
+                                            ::testing::Values(1.0, 0.6),
+                                            ::testing::Range<std::uint64_t>(0, 30)));
 
 TEST(ExactRM, NodeLimitReturnsBestEffort) {
     const RandomInstance random(17, /*max_tasks=*/5);

@@ -5,6 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -706,6 +711,228 @@ TEST(EdfPrefilterTest, DecisiveVerdictsAgreeWithFullSimulation) {
     EXPECT_GT(feasible_verdicts, 100);
     EXPECT_GT(unknown_verdicts, 100);
     EXPECT_GT(mixed_rounds, 500);
+}
+
+// ---- the sorted-order EDF loop against the quadratic one ----
+
+struct QuadraticEdf {
+    std::vector<Segment> segments;
+    std::vector<TaskCompletion> completion;
+    bool feasible = true;
+};
+
+/// simulate_edf as a plain rescan loop: every dispatch step scans all open
+/// items for the pick, the next reservation, the idle target and the
+/// preemption horizon.  The production loop searches pre-sorted orders
+/// instead; it must reproduce these segments, completions and verdicts bit
+/// for bit.
+QuadraticEdf quadratic_edf(const Resource& resource, Time now,
+                           const std::vector<ScheduleItem>& items) {
+    constexpr double kEps = 1e-6;
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    constexpr Time kForever = std::numeric_limits<Time>::infinity();
+    QuadraticEdf out;
+    Time cur = now;
+    auto emit = [&](TaskUid uid, Time start, Time end) {
+        if (end <= start) return;
+        if (!out.segments.empty() && out.segments.back().uid == uid &&
+            std::abs(out.segments.back().end - start) <= kEps) {
+            out.segments.back().end = end;
+            return;
+        }
+        out.segments.push_back(Segment{uid, start, end});
+    };
+    auto finish = [&](TaskUid uid, Time deadline, Time end) {
+        out.completion.push_back(TaskCompletion{uid, end});
+        if (end > deadline + kEps) out.feasible = false;
+    };
+
+    struct Task {
+        Time release, deadline;
+        double remaining;
+        TaskUid uid;
+        bool reserved, done;
+    };
+    std::vector<Task> tasks;
+    auto edf_before = [&](std::size_t a, std::size_t b) {
+        if (tasks[a].reserved != tasks[b].reserved) return tasks[a].reserved;
+        if (tasks[a].deadline != tasks[b].deadline) return tasks[a].deadline < tasks[b].deadline;
+        if (tasks[a].release != tasks[b].release) return tasks[a].release < tasks[b].release;
+        return tasks[a].uid < tasks[b].uid;
+    };
+    auto preempts = [&](std::size_t u, std::size_t pick) {
+        if (tasks[pick].reserved) return false;
+        if (tasks[u].reserved) return true;
+        return edf_before(u, pick);
+    };
+
+    for (const ScheduleItem& it : items) {
+        if (it.pinned_first) {
+            emit(it.uid, cur, cur + it.duration);
+            finish(it.uid, it.abs_deadline, cur + it.duration);
+            cur += it.duration;
+            continue;
+        }
+        tasks.push_back(Task{it.release, it.abs_deadline, it.duration, it.uid, it.reserved,
+                             it.duration <= 0.0});
+        if (tasks.back().done) finish(it.uid, it.abs_deadline, std::max(cur, it.release));
+    }
+    std::size_t open = 0;
+    for (const Task& task : tasks) open += task.done ? 0 : 1;
+
+    while (open > 0) {
+        std::size_t pick = kNone;
+        for (std::size_t j = 0; j < tasks.size(); ++j) {
+            if (tasks[j].done || tasks[j].release > cur + kEps) continue;
+            if (pick == kNone || edf_before(j, pick)) pick = j;
+        }
+        Time next_reservation = kForever;
+        for (const Task& task : tasks)
+            if (!task.done && task.reserved && task.release > cur + kEps)
+                next_reservation = std::min(next_reservation, task.release);
+        if (!resource.preemptable() && pick != kNone && !tasks[pick].reserved &&
+            cur + tasks[pick].remaining > next_reservation + kEps) {
+            pick = kNone;
+            for (std::size_t j = 0; j < tasks.size(); ++j) {
+                if (tasks[j].done || tasks[j].release > cur + kEps || tasks[j].reserved) continue;
+                if (cur + tasks[j].remaining > next_reservation + kEps) continue;
+                if (pick == kNone || edf_before(j, pick)) pick = j;
+            }
+        }
+        if (pick == kNone) {
+            Time next = next_reservation;
+            for (const Task& task : tasks)
+                if (!task.done && task.release > cur + kEps) next = std::min(next, task.release);
+            cur = std::max(cur, next);
+            continue;
+        }
+        const Time end = cur + tasks[pick].remaining;
+        if (resource.preemptable()) {
+            Time preempt_at = kForever;
+            for (std::size_t j = 0; j < tasks.size(); ++j) {
+                if (tasks[j].done || j == pick) continue;
+                if (tasks[j].release > cur + kEps && tasks[j].release < end - kEps &&
+                    preempts(j, pick))
+                    preempt_at = std::min(preempt_at, tasks[j].release);
+            }
+            if (preempt_at < end) {
+                emit(tasks[pick].uid, cur, preempt_at);
+                tasks[pick].remaining -= preempt_at - cur;
+                cur = preempt_at;
+                continue;
+            }
+        }
+        emit(tasks[pick].uid, cur, end);
+        tasks[pick].remaining = 0.0;
+        tasks[pick].done = true;
+        --open;
+        finish(tasks[pick].uid, tasks[pick].deadline, end);
+        cur = end;
+    }
+    return out;
+}
+
+bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(EdfDifferential, SortedDispatchMatchesQuadraticLoop) {
+    // Whole-number times on a coarse grid make deadline and release ties
+    // common and put dispatch instants on integers; releases are then
+    // nudged to within (and just beyond) kEps of those instants.  Some
+    // rounds repeat a uid, so ties reach the input-position tie-break.
+    Rng rng(20261018);
+    const double nudges[] = {0.0, 0.5e-6, -0.5e-6, 1e-6, -1e-6, 1.5e-6, -1.5e-6};
+    int preempted = 0;
+    int reserved = 0;
+    int pinned = 0;
+    int nudged = 0;
+    int repeated_uid = 0;
+    int infeasible = 0;
+    for (int round = 0; round < 4000; ++round) {
+        const bool gpu = rng.bernoulli(0.4);
+        const Resource& resource = gpu ? kGpu : kCpu;
+        const Time now = rng.bernoulli(0.5) ? 0.0 : static_cast<double>(rng.index(20));
+        const bool whole = rng.bernoulli(0.7);
+        const std::size_t count = 1 + rng.index(24);
+        bool round_nudged = false;
+        bool round_repeated = false;
+
+        std::vector<ScheduleItem> items;
+        for (std::size_t j = 0; j < count; ++j) {
+            double duration = whole ? static_cast<double>(1 + rng.index(6)) : rng.uniform(0.2, 6.0);
+            if (rng.bernoulli(0.1)) duration = 0.0;
+            Time release = now;
+            if (rng.bernoulli(0.35)) {
+                const double nudge = nudges[rng.index(std::size(nudges))];
+                release = std::max(now, now + static_cast<double>(rng.index(12)) + nudge);
+                round_nudged = round_nudged || nudge != 0.0;
+            }
+            TaskUid uid = j + 1;
+            if (j > 0 && rng.bernoulli(0.05)) {
+                uid = items[rng.index(items.size())].uid;
+                round_repeated = true;
+            }
+            const Time deadline = release + static_cast<double>(1 + rng.index(4 * count + 4));
+            items.push_back(item(uid, duration, deadline, release));
+        }
+        const std::size_t reservations = rng.bernoulli(0.3) ? 1 + rng.index(2) : 0;
+        for (std::size_t r = 0; r < reservations; ++r) {
+            ScheduleItem window;
+            window.uid = kReservedUidBase + r;
+            window.release = now + static_cast<double>(rng.index(15)) +
+                             nudges[rng.index(std::size(nudges))] * (rng.bernoulli(0.5) ? 1 : 0);
+            window.release = std::max(now, window.release);
+            window.duration = static_cast<double>(1 + rng.index(3));
+            window.abs_deadline = window.release + window.duration;
+            window.reserved = true;
+            items.insert(items.begin() + static_cast<std::ptrdiff_t>(rng.index(items.size() + 1)),
+                         window);
+        }
+        const bool head = gpu && rng.bernoulli(0.3);
+        if (head)
+            items.insert(items.begin() + static_cast<std::ptrdiff_t>(rng.index(items.size() + 1)),
+                         item(1000, static_cast<double>(1 + rng.index(4)),
+                              now + static_cast<double>(1 + rng.index(20)), now,
+                              /*pinned=*/true));
+
+        const QuadraticEdf expected = quadratic_edf(resource, now, items);
+        std::vector<TaskCompletion> completion;
+        const auto actual = schedule_resource(resource, now, items, &completion);
+        ASSERT_EQ(actual.feasible, expected.feasible) << "round " << round;
+        ASSERT_EQ(actual.timeline.segments.size(), expected.segments.size()) << "round " << round;
+        for (std::size_t k = 0; k < expected.segments.size(); ++k) {
+            const Segment& a = actual.timeline.segments[k];
+            const Segment& e = expected.segments[k];
+            EXPECT_EQ(a.uid, e.uid) << "round " << round << " segment " << k;
+            EXPECT_TRUE(same_bits(a.start, e.start) && same_bits(a.end, e.end))
+                << "round " << round << " segment " << k;
+        }
+        ASSERT_EQ(completion.size(), expected.completion.size()) << "round " << round;
+        for (std::size_t k = 0; k < completion.size(); ++k) {
+            EXPECT_EQ(completion[k].uid, expected.completion[k].uid) << "round " << round;
+            EXPECT_TRUE(same_bits(completion[k].time, expected.completion[k].time))
+                << "round " << round << " completion " << k;
+        }
+        EXPECT_EQ(resource_feasible(resource, now, items), expected.feasible) << "round " << round;
+
+        std::size_t zero_length = 0;
+        for (const ScheduleItem& it : items) zero_length += it.duration <= 0.0 ? 1 : 0;
+        if (expected.segments.size() > items.size() - zero_length) ++preempted;
+        reserved += reservations > 0 ? 1 : 0;
+        pinned += head ? 1 : 0;
+        nudged += round_nudged ? 1 : 0;
+        repeated_uid += round_repeated ? 1 : 0;
+        infeasible += expected.feasible ? 0 : 1;
+    }
+    // Every feature the loop branches on must actually be exercised.
+    EXPECT_GT(preempted, 200);
+    EXPECT_GT(reserved, 500);
+    EXPECT_GT(pinned, 200);
+    EXPECT_GT(nudged, 1000);
+    EXPECT_GT(repeated_uid, 500);
+    EXPECT_GT(infeasible, 200);
+    EXPECT_LT(infeasible, 3800);
 }
 
 } // namespace
