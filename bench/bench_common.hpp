@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <iostream>
 
-#include "exec/task_pool.hpp"
+#include "exec/parallel_for.hpp"
 #include "exp/runner.hpp"
 
 namespace rmwp::bench {

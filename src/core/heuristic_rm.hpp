@@ -46,7 +46,7 @@ public:
     /// rebuild per batch, bit-identical decisions to sequential decide()s.
     /// With shard_config().shards > 1 both entry points solve per resource
     /// group on the ShardedSolver (DESIGN.md §15) — still bit-identical at
-    /// any shard/probe-job count, pinned by tests/test_shard_admission.cpp.
+    /// any shard count, pinned by tests/test_shard_admission.cpp.
     void decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) override;
     [[nodiscard]] RescueDecision rescue(const RescueContext& context) override;
     [[nodiscard]] std::string name() const override { return "heuristic"; }

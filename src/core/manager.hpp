@@ -19,6 +19,7 @@
 #include "core/task_state.hpp"
 #include "platform/health.hpp"
 #include "platform/platform.hpp"
+#include "util/check.hpp"
 #include "workload/catalog.hpp"
 
 namespace rmwp {
@@ -156,18 +157,20 @@ struct BatchArrivalContext {
     }
 };
 
-/// Sharded concurrent admission configuration (DESIGN.md §15).  The plan is
+/// Sharded admission configuration (DESIGN.md §15).  The plan is
 /// partitioned by resource group (connected components of the "some type can
 /// execute on both resources" relation) and folded into at most `shards`
-/// solve buckets; up to `probe_jobs` buckets are probed concurrently per
-/// decision on the persistent exec::TaskPool.  Decisions are bit-identical
-/// to the sequential path at any shard and job count — sharding trades
-/// nothing but latency.  `shards <= 1` selects the unsharded code path
-/// exactly.  BaselineRM and MilpRM ignore the config (their solvers do not
-/// decompose provably bit-identically; see DESIGN.md §15).
+/// solve buckets, solved one after another on the deciding thread.
+/// Decisions are bit-identical to the sequential path at any shard count.
+/// `shards <= 1` selects the unsharded code path exactly.  BaselineRM and
+/// MilpRM ignore the config (their solvers do not decompose provably
+/// bit-identically; see DESIGN.md §15).
 struct ShardConfig {
-    std::size_t shards = 1;     ///< max solve buckets (1 = sequential solve)
-    std::size_t probe_jobs = 1; ///< concurrent bucket probes per decision
+    std::size_t shards = 1; ///< max solve buckets (1 = sequential solve)
+    /// Must be 1.  Kept only so the aggregate `set_shard_config({4, 1})` in
+    /// perfbench/workloads.cpp still compiles; delete it together with that
+    /// call.
+    std::size_t probe_jobs = 1;
 };
 
 /// Abstract resource manager.
@@ -194,8 +197,12 @@ public:
     /// Sharded-admission configuration.  Set once, at construction/setup
     /// time, before the RM is shared across engine threads: the config is
     /// read unsynchronised on every decide.  RMs whose solvers do not
-    /// decompose bit-identically (baseline, milp) ignore it.
-    void set_shard_config(const ShardConfig& config) noexcept { shard_config_ = config; }
+    /// decompose bit-identically (baseline, milp) ignore it.  Throws
+    /// precondition_error unless `config.probe_jobs == 1`.
+    void set_shard_config(const ShardConfig& config) {
+        RMWP_EXPECT(config.probe_jobs == 1);
+        shard_config_ = config;
+    }
     [[nodiscard]] const ShardConfig& shard_config() const noexcept { return shard_config_; }
 
 private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/task_pool.hpp"
 #include "obs/stage_timer.hpp"
 #include "util/check.hpp"
 #include "workload/catalog.hpp"
@@ -61,15 +60,6 @@ void ShardPartition::rebuild(const Platform& platform, const Catalog& catalog) {
 ShardPartition& ShardPartition::local() {
     static thread_local ShardPartition partition;
     return partition;
-}
-
-ShardedSolver::ShardedSolver() {
-    // Persistent dispatch thunk: capturing only `this` keeps it inside
-    // std::function's small-buffer storage, so a parallel fork-join
-    // allocates nothing per decision.  The solve/ctx members are written
-    // before for_each and published to the workers by the pool's mutex
-    // handshake.
-    pool_fn_ = [this](std::size_t p) { solve_pending(p, active_solve_, active_ctx_); };
 }
 
 void ShardedSolver::ensure_buckets(std::size_t count) {
@@ -147,21 +137,14 @@ void ShardedSolver::build_sub(Bucket& bucket, const PlanInstance& instance) {
     RMWP_ENSURE(sub.tasks.size() == bucket.task_index.size());
 }
 
-void ShardedSolver::solve_pending(std::size_t p, SolveFn solve, void* ctx) {
-    Bucket& bucket = buckets_[pending_[p]];
-    bucket.proven = true;
-    bucket.ok = solve(bucket.sub, bucket.mapping, bucket.proven, ctx);
-}
-
 std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance& instance,
                                                               const ShardPartition& partition,
-                                                              const ShardConfig& config,
-                                                              SolveFn solve, void* ctx,
-                                                              bool use_cache, bool& proven) {
+                                                              std::size_t shards, SolveFn solve,
+                                                              void* ctx, bool use_cache,
+                                                              bool& proven) {
     RMWP_EXPECT(instance.platform != nullptr);
     RMWP_EXPECT(!instance.tasks.empty());
     RMWP_EXPECT(instance.tasks.size() >= 1 + instance.predicted_count);
-    const std::size_t shards = config.shards;
     const std::size_t bucket_count = partition.bucket_count(shards);
     ensure_buckets(bucket_count);
 
@@ -208,20 +191,15 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
         pending_.push_back(b);
     }
 
-    // 3. Build the pending sub-instances (caller thread, pooled), then
-    // fork-join the solves.  Each worker touches only its own bucket slot;
-    // the pool's completion handshake publishes the writes back here, and
-    // the caller participates, so jobs == 1 never leaves this thread.
+    // 3. Build the pending sub-instances (pooled), then solve them in
+    // bucket order.
     for (const std::size_t b : pending_) build_sub(buckets_[b], instance);
     {
         RMWP_STAGE_SCOPE(obs::Stage::shard_solve);
-        const std::size_t jobs = std::min(config.probe_jobs, pending_.size());
-        if (jobs <= 1) {
-            for (std::size_t p = 0; p < pending_.size(); ++p) solve_pending(p, solve, ctx);
-        } else {
-            active_solve_ = solve;
-            active_ctx_ = ctx;
-            probe_pool(jobs - 1).for_each(pending_.size(), pool_fn_);
+        for (const std::size_t b : pending_) {
+            Bucket& bucket = buckets_[b];
+            bucket.proven = true;
+            bucket.ok = solve(bucket.sub, bucket.mapping, bucket.proven, ctx);
         }
     }
     for (const std::size_t b : pending_) {
@@ -295,8 +273,8 @@ Decision decide_sharded(const ArrivalContext& context, const ShardConfig& config
     bool proven = true;
     Decision decision = run_admission_ladder(context, [&](const PlanInstance& instance) {
         bool step_proven = true;
-        auto mapping = solver.run(instance, partition, config, solve, ctx, /*use_cache=*/false,
-                                  step_proven);
+        auto mapping = solver.run(instance, partition, config.shards, solve, ctx,
+                                  /*use_cache=*/false, step_proven);
         if (!mapping.has_value()) proven = proven && step_proven;
         return mapping;
     });
@@ -322,7 +300,7 @@ void decide_batch_sharded(const BatchArrivalContext& batch, const ShardConfig& c
         Decision decision =
             run_admission_ladder_batch(planner, m, [&](const PlanInstance& instance) {
                 bool step_proven = true;
-                auto mapping = solver.run(instance, partition, config, solve, ctx,
+                auto mapping = solver.run(instance, partition, config.shards, solve, ctx,
                                           /*use_cache=*/true, step_proven);
                 if (!mapping.has_value()) proven = proven && step_proven;
                 return mapping;

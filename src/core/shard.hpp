@@ -1,4 +1,4 @@
-// Sharded concurrent admission (DESIGN.md §15).
+// Sharded admission (DESIGN.md §15).
 //
 // The platform's resources fall into *resource groups*: connected
 // components of the relation "some catalog task type can execute on both".
@@ -8,21 +8,17 @@
 // ShardPartition computes that decomposition (union-find over the catalog's
 // executability sets, group ids assigned in smallest-resource-id order so
 // the partition is a pure function of platform + catalog), and
-// ShardedSolver solves the per-group sub-instances — optionally in parallel
-// on the persistent exec::probe_pool — then merges the per-bucket mappings
+// ShardedSolver solves the per-group sub-instances one after another, in
+// bucket order on the calling thread, then merges the per-bucket mappings
 // back into instance order.
 //
 // Determinism contract (DESIGN.md §9): the merged decision is bit-identical
-// to the sequential solve at any shard count and any probe-job count.
-// Parallel workers write only their own bucket's slot (mapping + verdict);
-// the merge reads the slots in bucket order on the calling thread, so the
-// schedule of the workers can never reorder results.  An RMWP_AUDIT build
+// to the sequential solve at any shard count.  An RMWP_AUDIT build
 // re-solves every instance sequentially and asserts bit-equality.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -98,12 +94,9 @@ public:
     /// Solve `sub` into `mapping` (one resource per sub task, sub order).
     /// Returns feasibility; on failure `proven` reports whether the
     /// failure is a proof of infeasibility (exact) or a heuristic give-up.
-    /// Runs on pool workers: must only touch its own arguments and
-    /// thread-local scratch.
+    /// Runs on the calling thread, once per pending bucket in bucket order.
     using SolveFn = bool (*)(const PlanInstance& sub, std::vector<ResourceId>& mapping,
                              bool& proven, void* ctx);
-
-    ShardedSolver();
 
     /// Start a coalesced batch: resets bucket versions and the solve cache,
     /// and snapshots the working set's uid -> (resource, bucket) map so
@@ -127,8 +120,8 @@ public:
     /// `proven` is the AND over the failed buckets' proofs.
     std::optional<std::span<const ResourceId>> run(const PlanInstance& instance,
                                                    const ShardPartition& partition,
-                                                   const ShardConfig& config, SolveFn solve,
-                                                   void* ctx, bool use_cache, bool& proven);
+                                                   std::size_t shards, SolveFn solve, void* ctx,
+                                                   bool use_cache, bool& proven);
 
     /// The calling thread's pooled solver.
     [[nodiscard]] static ShardedSolver& local();
@@ -166,15 +159,11 @@ private:
 
     void ensure_buckets(std::size_t count);
     void build_sub(Bucket& bucket, const PlanInstance& instance);
-    void solve_pending(std::size_t p, SolveFn solve, void* ctx);
 
     std::vector<Bucket> buckets_; ///< never shrinks; first bucket_count used
     std::vector<Tracked> tracked_;
     std::vector<std::size_t> pending_; ///< bucket ids needing a fresh solve
     std::vector<ResourceId> merged_;
-    std::function<void(std::size_t)> pool_fn_; ///< persistent, SBO-sized capture
-    SolveFn active_solve_ = nullptr;
-    void* active_ctx_ = nullptr;
 };
 
 /// Maps a rejection's proof flag to its reason: `proven` is the AND over

@@ -1,6 +1,6 @@
 #include "exp/parallel_runner.hpp"
 
-#include "exec/task_pool.hpp"
+#include "exec/parallel_for.hpp"
 
 namespace rmwp {
 

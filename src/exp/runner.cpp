@@ -4,7 +4,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "exec/task_pool.hpp"
+#include "exec/parallel_for.hpp"
 #include "obs/export.hpp"
 #include "util/check.hpp"
 

@@ -488,7 +488,7 @@ void SimEngine::decide_on(const Request& request, TaskUid uid, std::size_t index
     context.health = &health_;
 
     // The timestamps bracket the *whole* decide call: under sharded
-    // admission (DESIGN.md §15) that includes the per-bucket fork-join and
+    // admission (DESIGN.md §15) that includes every bucket's solve and
     // the cross-shard merge, so the recorded decision latency is the
     // end-to-end figure — never a single bucket's solve time.
     // RMWP_LINT_ALLOW(R1): measures RM overhead on the host (paper Fig 5); host-time

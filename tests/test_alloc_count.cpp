@@ -14,12 +14,10 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <latch>
 #include <new>
 #include <vector>
 
 #include "core/heuristic_rm.hpp"
-#include "exec/task_pool.hpp"
 #include "predict/predictor.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
@@ -189,22 +187,6 @@ Platform make_islands_platform() {
     return builder.build();
 }
 
-/// Run `warm` once on every thread of the calling thread's probe pool: its
-/// workers and the caller.  The pool self-schedules, so one warm-up decision
-/// can leave a worker idle, and that worker's thread-local solver arenas
-/// would then grow inside the counted rounds.  Each index here waits on a
-/// latch until every index has started, so no thread can claim two.
-template <typename Warm>
-void warm_every_probe_thread(std::size_t workers, const Warm& warm) {
-    TaskPool& pool = probe_pool(workers);
-    const std::size_t threads = pool.size() + 1;
-    std::latch started(static_cast<std::ptrdiff_t>(threads));
-    pool.for_each(threads, [&](std::size_t) {
-        started.arrive_and_wait();
-        warm();
-    });
-}
-
 TEST(AllocCount, ShardedSteadyStateKeepsTheOneAllocationBudget) {
 #ifdef RMWP_AUDIT
     GTEST_SKIP() << "allocation budgets are pinned on no-audit builds";
@@ -229,43 +211,30 @@ TEST(AllocCount, ShardedSteadyStateKeepsTheOneAllocationBudget) {
     context.candidate = task_of(100, 3, 5.0, 80.0);
     context.predicted = {PredictedTask{4, 9.0, 60.0}};
 
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}}) {
-        HeuristicRM rm;
-        rm.set_shard_config({4, jobs});
-        // Warm-up sizes the partition, the per-bucket sub-instances, and
-        // (jobs > 1) the probe pool's threads.  Then every thread that can
-        // solve a bucket runs each bucket once, serially, which sizes its
-        // solver arenas for any bucket the pool may hand it.
-        (void)rm.decide(context);
-        if (jobs > 1) {
-            warm_every_probe_thread(jobs - 1, [&] {
-                HeuristicRM serial;
-                serial.set_shard_config({4, 1});
-                (void)serial.decide(context);
-            });
-        }
+    HeuristicRM rm;
+    rm.set_shard_config({4, 1});
+    // Warm-up sizes the partition, the per-bucket sub-instances, and the
+    // solver arenas for every bucket.
+    (void)rm.decide(context);
 
-        constexpr int kRounds = 200;
-        AllocationCount count;
-        count.start();
-        std::size_t admitted = 0;
-        for (int round = 0; round < kRounds; ++round) {
-            const Decision decision = rm.decide(context);
-            if (decision.admitted) ++admitted;
-        }
-        const std::uint64_t allocations = count.stop();
-        EXPECT_EQ(admitted, static_cast<std::size_t>(kRounds)) << "jobs " << jobs;
-
-        // Same budget as the sequential path: one allocation per decision —
-        // the Decision's assignments vector.  Partition rebuilds, bucket
-        // sub-instances, worker mappings, and the fork-join dispatch all
-        // reuse pooled capacity (the std::function thunk capturing `this`
-        // stays in its small-buffer storage).
-        EXPECT_LE(allocations, static_cast<std::uint64_t>(kRounds))
-            << "sharded decide() with probe_jobs=" << jobs << " regressed to " << allocations
-            << " allocations over " << kRounds << " rounds";
-        EXPECT_GT(allocations, 0u);
+    constexpr int kRounds = 200;
+    AllocationCount count;
+    count.start();
+    std::size_t admitted = 0;
+    for (int round = 0; round < kRounds; ++round) {
+        const Decision decision = rm.decide(context);
+        if (decision.admitted) ++admitted;
     }
+    const std::uint64_t allocations = count.stop();
+    EXPECT_EQ(admitted, static_cast<std::size_t>(kRounds));
+
+    // Same budget as the sequential path: one allocation per decision —
+    // the Decision's assignments vector.  Partition rebuilds, bucket
+    // sub-instances and bucket mappings all reuse pooled capacity.
+    EXPECT_LE(allocations, static_cast<std::uint64_t>(kRounds))
+        << "sharded decide() regressed to " << allocations << " allocations over " << kRounds
+        << " rounds";
+    EXPECT_GT(allocations, 0u);
 }
 
 TEST(AllocCount, ShardedBatchOfEightAcrossFourShardsStaysPinned) {
@@ -297,16 +266,10 @@ TEST(AllocCount, ShardedBatchOfEightAcrossFourShardsStaysPinned) {
     batch.items = items;
 
     HeuristicRM rm;
-    rm.set_shard_config({4, 2});
+    rm.set_shard_config({4, 1});
     std::vector<Decision> out;
     rm.decide_batch(batch, out); // warm-up
     ASSERT_EQ(out.size(), items.size());
-    warm_every_probe_thread(1, [&] {
-        HeuristicRM serial;
-        serial.set_shard_config({4, 1});
-        std::vector<Decision> serial_out;
-        serial.decide_batch(batch, serial_out);
-    });
 
     constexpr int kRounds = 100;
     AllocationCount count;

@@ -1,9 +1,10 @@
 // Tests for the parallel experiment engine (src/exec + exp/runner fan-out):
-// the TaskPool primitive, the RMWP_JOBS session default, and the determinism
-// contract of DESIGN.md Sec 9 — running the same experiment at jobs=1 and
-// jobs=8 must produce bit-identical TraceResults (only the host wall-clock
-// fields may differ), across every RM kind, with fault injection and the
-// independent auditor enabled.
+// the parallel_for primitive, the RMWP_JOBS session default, and the
+// determinism contract of DESIGN.md Sec 9 — running the same experiment at
+// jobs=1 and jobs=8 must produce bit-identical TraceResults (only the host
+// wall-clock fields may differ), across every RM kind, with fault injection
+// and the independent auditor enabled.  Admission itself never fans out:
+// ShardConfig refuses any probe-job count but 1.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,47 +17,36 @@
 #include <vector>
 
 #include "core/heuristic_rm.hpp"
-#include "exec/task_pool.hpp"
+#include "exec/parallel_for.hpp"
 #include "exp/parallel_runner.hpp"
 #include "exp/runner.hpp"
+#include "util/check.hpp"
 
 namespace rmwp {
 namespace {
 
-// ---- TaskPool primitive ----
+// ---- parallel_for primitive ----
 
-TEST(TaskPool, ExecutesEveryIndexExactlyOnce) {
-    TaskPool pool(4);
+TEST(ParallelFor, ExecutesEveryIndexExactlyOnce) {
     constexpr std::size_t kCount = 5000;
     std::vector<std::atomic<int>> hits(kCount);
-    pool.for_each(kCount, [&](std::size_t i) { hits[i].fetch_add(1); });
+    parallel_for(4, kCount, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
-TEST(TaskPool, ReusableAcrossJobs) {
-    TaskPool pool(3);
-    for (int round = 0; round < 50; ++round) {
-        std::atomic<std::size_t> sum{0};
-        pool.for_each(100, [&](std::size_t i) { sum.fetch_add(i + 1); });
-        EXPECT_EQ(sum.load(), 5050u);
-    }
+TEST(ParallelFor, ZeroCountIsANoOp) {
+    parallel_for(2, 0, [&](std::size_t) { FAIL() << "must not be called"; });
 }
 
-TEST(TaskPool, ZeroCountIsANoOp) {
-    TaskPool pool(2);
-    pool.for_each(0, [&](std::size_t) { FAIL() << "must not be called"; });
-}
-
-TEST(TaskPool, PropagatesExceptionAndStaysUsable) {
-    TaskPool pool(4);
-    EXPECT_THROW(pool.for_each(200,
-                               [&](std::size_t i) {
-                                   if (i == 57) throw std::runtime_error("boom");
-                               }),
+TEST(ParallelFor, PropagatesExceptionAndNextCallStillWorks) {
+    EXPECT_THROW(parallel_for(4, 200,
+                              [&](std::size_t i) {
+                                  if (i == 57) throw std::runtime_error("boom");
+                              }),
                  std::runtime_error);
-    // The pool must survive a failed job: the next job runs normally.
+    // A failed loop leaves nothing behind: the next one runs normally.
     std::atomic<std::size_t> done{0};
-    pool.for_each(64, [&](std::size_t) { done.fetch_add(1); });
+    parallel_for(4, 64, [&](std::size_t) { done.fetch_add(1); });
     EXPECT_EQ(done.load(), 64u);
 }
 
@@ -75,6 +65,16 @@ TEST(ParallelFor, MoreJobsThanIndices) {
     std::vector<std::atomic<int>> hits(3);
     parallel_for(16, 3, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+// ---- admission decides on the caller's thread ----
+
+TEST(ShardConfig, RefusesProbeJobsOtherThanOne) {
+    HeuristicRM rm;
+    EXPECT_THROW(rm.set_shard_config({4, 2}), precondition_error);
+    EXPECT_EQ(rm.shard_config().shards, 1u);
+    rm.set_shard_config({4, 1});
+    EXPECT_EQ(rm.shard_config().shards, 4u);
 }
 
 // ---- RMWP_JOBS session default ----
