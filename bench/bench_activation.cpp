@@ -5,6 +5,7 @@
 // prediction/decision overhead once per request; waking periodically
 // amortises the overhead over a batch at the cost of slack.  With a
 // per-activation overhead there is an interior optimum.
+#include <cmath>
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -24,7 +25,7 @@ int main() {
     bench::JsonReport report("activation");
     report.add_config("VT", config);
     ExperimentRunner runner(config);
-    const double mean_interarrival = config.trace.interarrival_mean;
+    const Time mean_interarrival = ms(config.trace.interarrival_mean);
     const std::size_t jobs = default_jobs();
 
     for (const double coeff : {0.0, 0.04, 0.12}) {
@@ -38,9 +39,9 @@ int main() {
             parallel_for(jobs, results.size(), [&](std::size_t t) {
                 const Trace& trace = runner.traces()[t];
                 HeuristicRM rm;
-                OraclePredictor oracle(coeff * trace.mean_interarrival());
+                OraclePredictor oracle(std::llround(coeff * trace.mean_interarrival()));
                 SimOptions options;
-                options.activation_period = period_ia * mean_interarrival;
+                options.activation_period = scale_up(mean_interarrival, period_ia);
                 results[t] = simulate_trace(runner.platform(), runner.catalog(), trace, rm,
                                             oracle, options);
             });

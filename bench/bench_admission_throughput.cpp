@@ -75,7 +75,7 @@ private:
     SyntheticArrivalSource inner_;
     std::size_t burst_;
     std::size_t in_burst_ = 0; ///< members still owed at burst_arrival_
-    Time burst_arrival_ = 0.0;
+    Time burst_arrival_ = 0;
 };
 
 } // namespace
@@ -136,7 +136,7 @@ int main() {
         ServeConfig config;
         config.sim.execution_seed = seed;
         config.max_arrivals = arrivals;
-        config.batch_window = cell.batch_window;
+        config.batch_window = ms(cell.batch_window);
         config.monitor_period_seconds = 0.1;
         config.limits.expect_no_misses = true;
 
@@ -281,7 +281,7 @@ int main() {
             ServeConfig config;
             config.sim.execution_seed = seed;
             config.max_arrivals = arrivals;
-            config.batch_window = 0.0;
+            config.batch_window = 0;
             config.monitor_period_seconds = 0.1;
             config.limits.expect_no_misses = true;
 

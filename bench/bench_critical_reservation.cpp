@@ -35,11 +35,11 @@ int main() {
     Table table({"GPU reserved %", "rejection off", "rejection on", "benefit (pp)",
                  "critical energy/trace"});
     for (const double share : {0.0, 0.1, 0.2, 0.3, 0.4}) {
-        const Time period = 20.0;
+        const Time period = ms(20);
         ReservationTable reservations;
         if (share > 0.0) {
             reservations = ReservationTable(
-                {CriticalTask{"gpu-critical", gpu, period, 0.0, share * period, 2.0}});
+                {CriticalTask{"gpu-critical", gpu, period, 0, scale_up(period, share), 2.0}});
         }
 
         const bench::WallTimer timer;

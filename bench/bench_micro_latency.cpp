@@ -37,12 +37,12 @@ struct Fixture {
     /// feasible but not trivially loose.
     explicit Fixture(std::size_t n) {
         Rng rng(99 + n);
-        std::vector<double> load(platform.size(), 0.0);
+        std::vector<Time> load(platform.size(), 0);
         for (std::size_t j = 0; j < n; ++j) {
             ActiveTask task;
             task.uid = j;
             task.type = rng.index(catalog.size());
-            task.arrival = 0.0;
+            task.arrival = 0;
             const ResourceId resource = j % platform.size();
             task.resource = resource;
             const TaskType& type = catalog.type(task.type);
@@ -51,25 +51,24 @@ struct Fixture {
                                         : type.executable_resources().front();
             task.resource = home;
             load[home] += type.wcet(home);
-            task.absolute_deadline = load[home] * 1.8 + 20.0;
+            task.absolute_deadline = scale_down(load[home], 1.8) + ms(20);
             active.push_back(task);
         }
 
-        context.now = 0.0;
+        context.now = 0;
         context.platform = &platform;
         context.catalog = &catalog;
         context.active = active;
 
         context.candidate.uid = 10000;
         context.candidate.type = 0;
-        context.candidate.arrival = 0.0;
-        context.candidate.absolute_deadline =
-            catalog.type(0).mean_wcet() * 2.0 + 30.0;
+        context.candidate.arrival = 0;
+        context.candidate.absolute_deadline = scale_down(catalog.type(0).mean_wcet(), 2.0) + ms(30);
 
         PredictedTask predicted;
         predicted.type = 1;
-        predicted.arrival = 5.0;
-        predicted.relative_deadline = catalog.type(1).min_wcet() * 1.8;
+        predicted.arrival = ms(5);
+        predicted.relative_deadline = scale_down(catalog.type(1).min_wcet(), 1.8);
         context.predicted = {predicted};
     }
 };
@@ -101,7 +100,7 @@ void BM_ExactDecideTight(benchmark::State& state) {
     Fixture fixture(static_cast<std::size_t>(state.range(0)));
     std::vector<ActiveTask> tight = fixture.active;
     for (ActiveTask& task : tight)
-        task.absolute_deadline = (task.absolute_deadline - 20.0) / 1.8 * 1.05 + 8.0;
+        task.absolute_deadline = scale_down(task.absolute_deadline - ms(20), 1.05 / 1.8) + ms(8);
     fixture.context.active = tight;
     ExactRM rm;
     for (auto _ : state) {
@@ -115,7 +114,7 @@ void BM_HeuristicDecideTight(benchmark::State& state) {
     Fixture fixture(static_cast<std::size_t>(state.range(0)));
     std::vector<ActiveTask> tight = fixture.active;
     for (ActiveTask& task : tight)
-        task.absolute_deadline = (task.absolute_deadline - 20.0) / 1.8 * 1.05 + 8.0;
+        task.absolute_deadline = scale_down(task.absolute_deadline - ms(20), 1.05 / 1.8) + ms(8);
     fixture.context.active = tight;
     HeuristicRM rm;
     for (auto _ : state) {

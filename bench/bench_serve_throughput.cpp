@@ -80,7 +80,7 @@ int main() {
         config.sim.execution_seed = seed;
         config.max_arrivals = arrivals;
         config.max_pending = cell.max_pending;
-        config.decision_cost = cell.decision_cost;
+        config.decision_cost = ms(cell.decision_cost);
         config.monitor_period_seconds = 0.1;
         if (cell.faults) {
             config.faults.outage_rate = 0.5;

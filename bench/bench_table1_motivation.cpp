@@ -53,8 +53,8 @@ private:
 int main() {
     const Platform platform = make_motivational_platform();
     const Catalog catalog = make_table1_catalog();
-    const Trace at1({Request{0.0, 0, 8.0}, Request{1.0, 1, 5.0}});
-    const Trace at3({Request{0.0, 0, 8.0}, Request{3.0, 1, 5.0}});
+    const Trace at1({Request{0, 0, ms(8)}, Request{ms(1), 1, ms(5)}});
+    const Trace at3({Request{0, 0, ms(8)}, Request{ms(3), 1, ms(5)}});
 
     std::cout << "E1: Table 1 / Fig 1 motivational scenarios (paper Sec 3)\n\n";
 
@@ -83,8 +83,8 @@ int main() {
         };
 
         NullPredictor off;
-        FixedArrivalPredictor accurate(1.0);
-        FixedArrivalPredictor wrong(1.0);
+        FixedArrivalPredictor accurate(ms(1));
+        FixedArrivalPredictor wrong(ms(1));
         NullPredictor off2;
         run_case("(a)  no prediction, tau2@1", at1, off, "1/2 accepted");
         run_case("(b)  accurate prediction", at1, accurate, "2/2 accepted");

@@ -28,16 +28,16 @@ int main() {
 
     // 40 % of the GPU and 25 % of CPU1 are spoken for at design time.
     const ReservationTable reservations({
-        CriticalTask{"engine-control", /*resource=*/5, /*period=*/20.0, /*offset=*/0.0,
-                     /*duration=*/8.0, /*energy=*/3.0},
-        CriticalTask{"health-monitor", /*resource=*/0, /*period=*/40.0, /*offset=*/10.0,
-                     /*duration=*/10.0, /*energy=*/2.0},
+        CriticalTask{"engine-control", /*resource=*/5, /*period=*/ms(20), /*offset=*/0,
+                     /*duration=*/ms(8), /*energy=*/3.0},
+        CriticalTask{"health-monitor", /*resource=*/0, /*period=*/ms(40), /*offset=*/ms(10),
+                     /*duration=*/ms(10), /*energy=*/2.0},
     });
 
     std::cout << "critical reservations:\n";
     for (const CriticalTask& task : reservations.tasks()) {
         std::cout << "  " << task.name << " on " << platform.resource(task.resource).name()
-                  << ": " << task.duration << " ms every " << task.period << " ms ("
+                  << ": " << to_ms(task.duration) << " ms every " << to_ms(task.period) << " ms ("
                   << format_fixed(100.0 * task.utilization(), 0) << " % of the resource)\n";
     }
     std::cout << '\n';

@@ -65,8 +65,8 @@ int main() {
 
     // tau_1 at t=0 with d=8; tau_2 with d=5, arriving at t=1 (scenarios a/b)
     // or t=3 (scenario c).
-    const Trace arrives_at_1({Request{0.0, 0, 8.0}, Request{1.0, 1, 5.0}});
-    const Trace arrives_at_3({Request{0.0, 0, 8.0}, Request{3.0, 1, 5.0}});
+    const Trace arrives_at_1({Request{0, 0, ms(8)}, Request{ms(1), 1, ms(5)}});
+    const Trace arrives_at_3({Request{0, 0, ms(8)}, Request{ms(3), 1, ms(5)}});
 
     Table table({"scenario", "accepted", "rejected", "energy (J)"});
 
@@ -77,13 +77,13 @@ int main() {
             r.total_energy, 1);
     }
     {
-        FixedArrivalPredictor accurate(1.0);
+        FixedArrivalPredictor accurate(ms(1));
         const TraceResult r = run(platform, catalog, arrives_at_1, accurate);
         table.row().cell("(b) accurate prediction").cell(r.accepted).cell(r.rejected).cell(
             r.total_energy, 1);
     }
     {
-        FixedArrivalPredictor wrong(1.0); // claims t=1, the task comes at t=3
+        FixedArrivalPredictor wrong(ms(1)); // claims t=1, the task comes at t=3
         const TraceResult r = run(platform, catalog, arrives_at_3, wrong);
         table.row().cell("(c) wrong prediction, tau2 at t=3").cell(r.accepted).cell(r.rejected).cell(
             r.total_energy, 1);

@@ -30,19 +30,19 @@ Trace make_patterned_trace(const Catalog& catalog, std::size_t length, Rng& rng)
     requests.reserve(length);
 
     TaskTypeId type = rng.index(catalog.size());
-    Time arrival = 0.0;
+    Time arrival = 0;
     for (std::size_t j = 0; j < length; ++j) {
         if (j > 0) {
             const bool burst = (j / 25) % 2 == 0;
             const double mean = burst ? 8.0 : 20.0;
-            arrival += rng.gaussian_above(mean, mean * 0.1, mean * 0.2);
+            arrival += ms(rng.gaussian_above(mean, mean * 0.1, mean * 0.2));
             type = rng.bernoulli(0.85) ? (type + 1) % catalog.size()
                                        : rng.index(catalog.size());
         }
         const TaskType& task_type = catalog.type(type);
         const auto& executable = task_type.executable_resources();
-        const double rwcet = task_type.wcet(executable[rng.index(executable.size())]);
-        requests.push_back(Request{arrival, type, rwcet * rng.uniform(1.5, 2.0)});
+        const Time rwcet = task_type.wcet(executable[rng.index(executable.size())]);
+        requests.push_back(Request{arrival, type, scale_down(rwcet, rng.uniform(1.5, 2.0))});
     }
     return Trace(std::move(requests));
 }

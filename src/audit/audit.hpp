@@ -102,11 +102,10 @@ public:
 class ScheduleAuditor {
 public:
     struct Options {
-        /// Absolute time/energy comparison slack.  Times are O(1e4) ms and
-        /// durations O(10) ms; 1e-4 is far below any meaningful quantity yet
-        /// a safe two decades above the EDF engine's own 1e-6 epsilon, so
-        /// the auditor never flags the engine's legitimate tie-breaking.
-        double tolerance = 1e-4;
+        /// Absolute energy comparison slack (energies are sums of doubles
+        /// taken in different orders).  Times are integer ticks and are
+        /// compared exactly.
+        double energy_tolerance = 1e-4;
         /// Largest instance (tasks incl. candidate and predicted) the
         /// differential cross-check solves exactly.
         std::size_t differential_max_tasks = 8;

@@ -1,7 +1,6 @@
 #include "core/edf.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "obs/stage_timer.hpp"
@@ -10,19 +9,7 @@
 namespace rmwp {
 namespace {
 
-/// Absolute tolerance for time comparisons; times are O(1e4) ms and
-/// durations O(10) ms, so 1e-6 is far below any meaningful quantity while
-/// absorbing accumulated floating-point noise.
-constexpr double kEps = 1e-6;
-
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-
-/// Margin against floating-point ordering noise: the prefilter sums
-/// durations in deadline order while the simulation accumulates along its
-/// dispatch path, so the two totals can disagree in the last few ulps
-/// (~1e-8 at the time magnitudes used here).  Verdicts within kSafety of a
-/// threshold degrade to `unknown` and fall back to the simulation.
-constexpr double kSafety = 1e-7;
 
 /// Struct-of-arrays task records for the EDF inner loop, plus the two
 /// dispatch orders over them.  The dispatch searches (pick, next
@@ -34,7 +21,7 @@ constexpr double kSafety = 1e-7;
 struct EdfArrays {
     std::vector<Time> release;
     std::vector<Time> deadline;
-    std::vector<double> remaining;
+    std::vector<Time> remaining;
     std::vector<TaskUid> uid;
     std::vector<std::uint8_t> reserved;
     std::vector<std::uint8_t> done;
@@ -60,7 +47,7 @@ struct EdfArrays {
         remaining.push_back(item.duration);
         uid.push_back(item.uid);
         reserved.push_back(item.reserved ? 1 : 0);
-        done.push_back(item.duration <= 0.0 ? 1 : 0);
+        done.push_back(item.duration == 0 ? 1 : 0);
     }
 
     [[nodiscard]] std::size_t size() const noexcept { return release.size(); }
@@ -91,10 +78,10 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
         if (record == nullptr || end <= start) return;
         // The timeline invariant: segments are emitted in time order and
         // never overlap (the resource executes one task at a time).
-        RMWP_ENSURE(record->segments.empty() || start >= record->segments.back().end - kEps);
+        RMWP_ENSURE(record->segments.empty() || start >= record->segments.back().end);
         // Coalesce with the previous segment when the same task continues.
         if (!record->segments.empty() && record->segments.back().uid == uid &&
-            std::abs(record->segments.back().end - start) <= kEps) {
+            record->segments.back().end == start) {
             record->segments.back().end = end;
             return;
         }
@@ -103,7 +90,7 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
 
     auto finish = [&](TaskUid uid, Time abs_deadline, Time end) {
         if (completion != nullptr) completion->push_back(TaskCompletion{uid, end});
-        if (end > abs_deadline + kEps) feasible = false;
+        if (end > abs_deadline) feasible = false;
     };
 
     thread_local EdfArrays soa_buffer;
@@ -138,8 +125,8 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
     // Bring the items into the mutable arrays; run the pinned task (the one
     // currently executing on a non-preemptable resource) first.
     for (const ScheduleItem& item : items) {
-        RMWP_EXPECT(item.duration >= 0.0);
-        RMWP_EXPECT(item.release >= now - kEps);
+        RMWP_EXPECT(item.duration >= 0);
+        RMWP_EXPECT(item.release >= now);
         if (item.pinned_first) {
             RMWP_EXPECT(!resource.preemptable());
             const Time end = cur + item.duration;
@@ -171,7 +158,7 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
     auto first_ready = [&](auto&& accept) {
         for (std::size_t p = first_open; p < count; ++p) {
             const std::size_t j = soa.by_priority[p];
-            if (soa.done[j] == 0 && soa.release[j] <= cur + kEps && accept(j)) return j;
+            if (soa.done[j] == 0 && soa.release[j] <= cur && accept(j)) return j;
         }
         return kNone;
     };
@@ -185,12 +172,11 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
         }
         return kNone;
     };
-    constexpr Time kForever = std::numeric_limits<Time>::infinity();
-    auto release_or_forever = [&](std::size_t j) { return j == kNone ? kForever : soa.release[j]; };
+    auto release_or_never = [&](std::size_t j) { return j == kNone ? kNever : soa.release[j]; };
 
     while (open > 0) {
         while (soa.done[soa.by_priority[first_open]] != 0) ++first_open;
-        while (first_future < count && soa.release[soa.by_release[first_future]] <= cur + kEps)
+        while (first_future < count && soa.release[soa.by_release[first_future]] <= cur)
             ++first_future;
 
         // Highest-priority ready item (reservations first, then EDF).
@@ -201,12 +187,12 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
         // reservation begins — otherwise it would overrun a window that is
         // guaranteed at design time.  Fall back to the longest-fitting EDF
         // choice, or idle until the reservation.
-        const Time next_reservation = release_or_forever(
-            first_future_open(kForever, [&](std::size_t j) { return soa.reserved[j] != 0; }));
+        const Time next_reservation = release_or_never(
+            first_future_open(kNever, [&](std::size_t j) { return soa.reserved[j] != 0; }));
         if (!resource.preemptable() && pick != kNone && soa.reserved[pick] == 0 &&
-            cur + soa.remaining[pick] > next_reservation + kEps) {
+            soa.remaining[pick] > next_reservation - cur) {
             pick = first_ready([&](std::size_t j) {
-                return soa.reserved[j] == 0 && cur + soa.remaining[j] <= next_reservation + kEps;
+                return soa.reserved[j] == 0 && soa.remaining[j] <= next_reservation - cur;
             });
         }
 
@@ -214,8 +200,8 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
             // Nothing dispatchable: idle to the next release (a future
             // arrival or the next reserved window).
             const Time next =
-                release_or_forever(first_future_open(kForever, [](std::size_t) { return true; }));
-            RMWP_ENSURE(std::isfinite(next));
+                release_or_never(first_future_open(kNever, [](std::size_t) { return true; }));
+            RMWP_ENSURE(next != kNever);
             cur = std::max(cur, next);
             continue;
         }
@@ -225,8 +211,8 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
             // A future release preempts the running task if it outranks it
             // (a reservation always; an adaptive task by earlier deadline).
             // The pick is released, so it is never among the candidates.
-            const Time preempt_at = release_or_forever(
-                first_future_open(end - kEps, [&](std::size_t j) { return preempts(j, pick); }));
+            const Time preempt_at = release_or_never(
+                first_future_open(end, [&](std::size_t j) { return preempts(j, pick); }));
             if (preempt_at < end) {
                 emit(soa.uid[pick], cur, preempt_at);
                 soa.remaining[pick] -= preempt_at - cur;
@@ -235,7 +221,7 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
             }
         }
         emit(soa.uid[pick], cur, end);
-        soa.remaining[pick] = 0.0;
+        soa.remaining[pick] = 0;
         soa.done[pick] = 1;
         --open;
         finish(soa.uid[pick], soa.deadline[pick], end);
@@ -245,52 +231,25 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
     return feasible;
 }
 
-/// The demand-bound scan shared by the sorted and unsorted prefilters.
-/// `range` yields the items in demand order; `proj` dereferences an entry.
-/// `exact` arrives true iff the exact fast path applies (see the header
-/// contract) and is further degraded inside the borderline band.
+/// The demand-bound scan shared by every prefilter verdict.  `range`
+/// yields the items in demand order; `proj` dereferences an entry.  The
+/// items released at or after `from` must all execute inside [from, their
+/// deadline]: accumulating their work in demand order, false as soon as
+/// some deadline cannot fit it (no schedule can create capacity).  With
+/// `pinned_first` the pinned head is charged before everything else.
 template <typename Range, typename Proj>
-EdfPrefilter demand_scan(Time now, const Range& range, Proj&& proj, bool exact) {
-    double work = 0.0;
-    for (const auto& entry : range) {
-        const ScheduleItem& item = proj(entry);
-        work += item.duration;
-        const double slack = item.abs_deadline - now;
-        // Everything with deadline <= this one must execute inside
-        // [now, deadline]; no schedule can create capacity.
-        if (work > slack + kEps + kSafety) return EdfPrefilter::infeasible;
-        if (work > slack + kEps - kSafety) exact = false;
+bool demand_fits(Time from, const Range& range, Proj&& proj, bool pinned_first) {
+    Time work = 0;
+    for (int pass = pinned_first ? 0 : 1; pass < 2; ++pass) {
+        for (const auto& entry : range) {
+            const ScheduleItem& item = proj(entry);
+            if (item.release < from || (pinned_first && item.pinned_first != (pass == 0)))
+                continue;
+            work += item.duration;
+            if (work > item.abs_deadline - from) return false;
+        }
     }
-    return exact ? EdfPrefilter::feasible : EdfPrefilter::unknown;
-}
-
-/// Dispatch-mirror scan for a non-preemptable resource with nothing
-/// reserved, everything released, and at most one pinned head: the EDF
-/// dispatcher runs the pinned item first and everything else back-to-back
-/// in demand order, so the prefix sums below reproduce the simulation's
-/// completion times — modulo float-accumulation ulps, which the kSafety
-/// band degrades to `unknown`.  Unlike the demand bound this is a full
-/// verdict, not just a necessary condition.
-template <typename Range, typename Proj>
-EdfPrefilter dispatch_mirror_scan(Time now, const Range& range, Proj&& proj) {
-    bool exact = true;
-    double work = 0.0;
-    auto step = [&](const ScheduleItem& item) {
-        work += item.duration;
-        const double slack = item.abs_deadline - now;
-        if (work > slack + kEps + kSafety) return false;
-        if (work > slack + kEps - kSafety) exact = false;
-        return true;
-    };
-    for (const auto& entry : range) {
-        const ScheduleItem& item = proj(entry);
-        if (item.pinned_first && !step(item)) return EdfPrefilter::infeasible;
-    }
-    for (const auto& entry : range) {
-        const ScheduleItem& item = proj(entry);
-        if (!item.pinned_first && !step(item)) return EdfPrefilter::infeasible;
-    }
-    return exact ? EdfPrefilter::feasible : EdfPrefilter::unknown;
+    return true;
 }
 
 /// The shared prefilter body behind the sorted and unsorted entry points.
@@ -301,22 +260,19 @@ EdfPrefilter dispatch_mirror_scan(Time now, const Range& range, Proj&& proj) {
 /// is exact even with not-yet-released items: the set is schedulable iff
 /// for every release point t1 (here: `now` plus each distinct future
 /// release) and every deadline t2, the work of items confined to [t1, t2]
-/// fits in t2 - t1.  The `now`-anchored scan is demand_scan above; the
-/// future-release scans run below, so plans carrying a predicted task (the
-/// common admission probe) resolve analytically instead of falling back to
-/// the EDF simulation.  Soundness against the simulation's kEps dispatch
-/// slop: an item may start up to kEps before its release and finish up to
-/// kEps past its deadline, so a future-release window really offers
-/// slack + 2*kEps — only demand beyond that (plus kSafety) is declared
-/// infeasible; the feasible verdict claims no eps credit at all.
-/// Reservations and pinned items outrank EDF, so those still degrade to
-/// the simulation (`unknown`).
+/// fits in t2 - t1.  Plans carrying a predicted task (the common admission
+/// probe) thus resolve analytically instead of falling back to the EDF
+/// simulation.  Reservations and pinned items outrank EDF, so those still
+/// degrade to the simulation (`unknown`) unless the demand bound already
+/// proves infeasibility.
 ///
 /// On a non-preemptable resource (the GPU — the majority of admission
-/// probes) the common all-released case routes to dispatch_mirror_scan
-/// above for a full analytic verdict; anything with a future release, a
-/// reservation, or multiple pinned heads keeps the necessary-condition
-/// demand scan and lets the simulation decide.
+/// probes) with everything released, at most one pinned head and no
+/// reservation, the dispatcher runs the pinned item first and everything
+/// else back-to-back in demand order: the scan's prefix sums are the
+/// simulation's completion times, a full verdict (two-plus pinned heads run
+/// in input order, not demand order).  Anything else keeps the
+/// necessary-condition scan and lets the simulation decide.
 template <typename Range, typename Proj>
 EdfPrefilter prefilter_verdict(const Resource& resource, Time now, const Range& range,
                                Proj&& proj) {
@@ -332,35 +288,15 @@ EdfPrefilter prefilter_verdict(const Resource& resource, Time now, const Range& 
         else if (item.release > now) future.push_back(item.release);
     }
 
-    if (!resource.preemptable()) {
-        // Run-to-completion dispatch: with everything released, at most one
-        // pinned head, and no reservation, the mirror scan reproduces the
-        // simulation's completion times exactly (two-plus pinned heads run
-        // in input order, not demand order, so they stay with demand_scan).
-        if (!reserved && pinned <= 1 && future.empty())
-            return dispatch_mirror_scan(now, range, proj);
-        return demand_scan(now, range, proj, /*exact=*/false);
-    }
-
-    const bool plain = !reserved && pinned == 0;
-    const EdfPrefilter anchored = demand_scan(now, range, proj, plain);
-    if (anchored == EdfPrefilter::infeasible) return anchored;
-    if (!plain) return EdfPrefilter::unknown;
-    if (future.empty() || anchored == EdfPrefilter::unknown) return anchored;
+    const bool mirror = !resource.preemptable() && !reserved && pinned <= 1 && future.empty();
+    if (!demand_fits(now, range, proj, mirror)) return EdfPrefilter::infeasible;
+    if (mirror) return EdfPrefilter::feasible;
+    if (!resource.preemptable() || reserved || pinned > 0) return EdfPrefilter::unknown;
 
     std::sort(future.begin(), future.end());
     future.erase(std::unique(future.begin(), future.end()), future.end());
-    for (const Time release : future) {
-        double work = 0.0;
-        for (const auto& entry : range) {
-            const ScheduleItem& item = proj(entry);
-            if (item.release < release) continue;
-            work += item.duration;
-            const double slack = item.abs_deadline - release;
-            if (work > slack + 2.0 * kEps + kSafety) return EdfPrefilter::infeasible;
-            if (work > slack - kSafety) return EdfPrefilter::unknown;
-        }
-    }
+    for (const Time release : future)
+        if (!demand_fits(release, range, proj, false)) return EdfPrefilter::infeasible;
     return EdfPrefilter::feasible;
 }
 
@@ -378,7 +314,7 @@ EdfPrefilter note_verdict(EdfPrefilter verdict) noexcept {
 } // namespace
 
 std::size_t insert_demand_ordered(std::vector<ScheduleItem>& items, const ScheduleItem& item) {
-    RMWP_EXPECT(item.duration >= 0.0);
+    RMWP_EXPECT(item.duration >= 0);
     const auto pos = std::upper_bound(items.begin(), items.end(), item, demand_order);
     const auto index = static_cast<std::size_t>(pos - items.begin());
     items.insert(pos, item);

@@ -70,10 +70,8 @@ std::size_t insert_demand_ordered(std::vector<ScheduleItem>& items, const Schedu
 ///     unreserved, unpinned task on a preemptable resource, EDF completes
 ///     the k-th item (in deadline order) at exactly now + the prefix work,
 ///     so the per-deadline check is the full simulation's verdict.
-/// Verdicts carry a safety margin against floating-point ordering noise;
-/// borderline instances return `unknown` instead of guessing
-/// (tests/test_edf.cpp pins agreement with simulate_edf on random
-/// instances).
+/// Times are integer ticks, so both verdicts are exact (tests/test_edf.cpp
+/// pins agreement with simulate_edf on random instances).
 [[nodiscard]] EdfPrefilter edf_demand_prefilter(const Resource& resource, Time now,
                                                 std::span<const ScheduleItem> items);
 

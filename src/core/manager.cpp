@@ -29,27 +29,11 @@ ScheduleItem make_schedule_item(const ActiveTask& task, const TaskType& type, Re
     item.resource = to;
     item.release = now;
     item.abs_deadline = task.absolute_deadline;
-    item.duration = occupied_time(task, type, to);
-    if (health != nullptr) {
-        RMWP_EXPECT(health->online(to));
-        // Throttling stretches the remaining work, not the migration
-        // overhead (the data move is memory-bound, not compute-bound).
-        item.duration += (health->throttle(to) - 1.0) * remaining_time(task, type, to);
-    }
+    // Throttling stretches the remaining work, not the migration overhead
+    // (the data move is memory-bound, not compute-bound).
+    RMWP_EXPECT(health == nullptr || health->online(to));
+    item.duration = occupied_time(task, type, to, health);
     item.pinned_first = task.pinned;
-    return item;
-}
-
-ScheduleItem make_predicted_item(const PredictedTask& predicted, const TaskType& type,
-                                 ResourceId to, Time now) {
-    RMWP_EXPECT(type.executable_on(to));
-    ScheduleItem item;
-    item.uid = kPredictedUid;
-    item.resource = to;
-    item.release = std::max(predicted.arrival, now);
-    item.abs_deadline = predicted.absolute_deadline();
-    item.duration = type.wcet(to);
-    item.pinned_first = false;
     return item;
 }
 
@@ -74,14 +58,16 @@ void ResourceManager::decide_batch(const BatchArrivalContext& batch, std::vector
         context.health = batch.health;
         Decision decision = decide(context);
         if (decision.admitted)
-            apply_decision_to_active(*batch.catalog, decision, item.candidate, working);
+            apply_decision_to_active(*batch.catalog, decision, item.candidate, working,
+                                     batch.health);
         out.push_back(std::move(decision));
     }
     RMWP_ENSURE(out.size() == batch.items.size());
 }
 
 void apply_decision_to_active(const Catalog& catalog, const Decision& decision,
-                              const ActiveTask& candidate, std::vector<ActiveTask>& active) {
+                              const ActiveTask& candidate, std::vector<ActiveTask>& active,
+                              const PlatformHealth* health) {
     RMWP_EXPECT(decision.admitted);
     for (const TaskAssignment& assignment : decision.assignments) {
         if (assignment.uid == candidate.uid) {
@@ -97,15 +83,8 @@ void apply_decision_to_active(const Catalog& catalog, const Decision& decision,
                 break;
             }
         RMWP_ENSURE(task != nullptr);
-        if (assignment.resource == task->resource) continue;
-        RMWP_ENSURE(!task->pinned); // non-preemptable tasks never move
-        // Relocation replaces any unpaid migration time with the new pair's
-        // cost — exactly what occupied_time() plans with (the simulator
-        // additionally charges migration energy; that is not RM-visible).
-        if (task->started)
-            task->pending_overhead =
-                catalog.type(task->type).migration_time(task->resource, assignment.resource);
-        task->resource = assignment.resource;
+        RMWP_ENSURE(assignment.resource == task->resource || !task->pinned);
+        relocate(*task, catalog.type(task->type), assignment.resource, health);
     }
 }
 

@@ -28,8 +28,8 @@ namespace rmwp {
 /// predictor.  Used by the RM purely as a planning constraint (Sec 4.1).
 struct PredictedTask {
     TaskTypeId type = 0;
-    Time arrival = 0.0;            ///< predicted s_p
-    Time relative_deadline = 0.0;  ///< d_p
+    Time arrival = 0;           ///< predicted s_p
+    Time relative_deadline = 0; ///< d_p
 
     [[nodiscard]] Time absolute_deadline() const noexcept { return arrival + relative_deadline; }
 };
@@ -38,7 +38,7 @@ class ReservationTable;
 
 /// Everything an RM activation can look at.
 struct ArrivalContext {
-    Time now = 0.0;                       ///< decision time (arrival + prediction overhead)
+    Time now = 0;                         ///< decision time (arrival + prediction overhead)
     const Platform* platform = nullptr;
     const Catalog* catalog = nullptr;
     std::span<const ActiveTask> active;   ///< admitted, unfinished, advanced to `now`
@@ -108,7 +108,7 @@ struct Decision {
 /// non-preemptable resource have already had their progress reset by the
 /// simulator.
 struct RescueContext {
-    Time now = 0.0;
+    Time now = 0;
     const Platform* platform = nullptr;
     const Catalog* catalog = nullptr;
     std::span<const ActiveTask> active; ///< surviving tasks, advanced to `now`
@@ -144,7 +144,7 @@ struct BatchItem {
 /// (plan rebuild, block refresh, demand-bound state) across the items, not
 /// to change semantics.
 struct BatchArrivalContext {
-    Time now = 0.0;
+    Time now = 0;
     const Platform* platform = nullptr;
     const Catalog* catalog = nullptr;
     std::span<const ActiveTask> active;
@@ -216,7 +216,8 @@ private:
 /// state a sequential decision sequence would expose to the next decision,
 /// so batch emulation paths stay bit-identical to per-arrival admission.
 void apply_decision_to_active(const Catalog& catalog, const Decision& decision,
-                              const ActiveTask& candidate, std::vector<ActiveTask>& active);
+                              const ActiveTask& candidate, std::vector<ActiveTask>& active,
+                              const PlatformHealth* health);
 
 /// Build the ScheduleItem for a real task under a candidate assignment.
 /// With a health mask, the duration is inflated by the target resource's
@@ -224,10 +225,6 @@ void apply_decision_to_active(const Catalog& catalog, const Decision& decision,
 [[nodiscard]] ScheduleItem make_schedule_item(const ActiveTask& task, const TaskType& type,
                                               ResourceId to, Time now,
                                               const PlatformHealth* health = nullptr);
-
-/// Build the ScheduleItem for the predicted (virtual) task on a resource.
-[[nodiscard]] ScheduleItem make_predicted_item(const PredictedTask& predicted,
-                                               const TaskType& type, ResourceId to, Time now);
 
 /// Planning window length K = max_j t_left_j over the given tasks and the
 /// first `predicted_count` predicted tasks.  Requires a non-empty task set.

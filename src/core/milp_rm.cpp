@@ -46,23 +46,28 @@ struct Encoder {
         make_mapping_variables();
     }
 
+    // The LP is posed in milliseconds relative to `now`: well-scaled
+    // coefficients for the simplex whatever the absolute clock.
     [[nodiscard]] double tleft(std::size_t j) const {
-        return instance.tasks[j].time_left(instance.now);
+        return to_ms(instance.tasks[j].time_left(instance.now));
     }
 
     [[nodiscard]] double release_rel(std::size_t j) const {
-        return instance.tasks[j].release - instance.now;
+        return to_ms(instance.tasks[j].release - instance.now);
+    }
+
+    [[nodiscard]] double cp(std::size_t j, std::size_t i) const {
+        return to_ms(instance.tasks[j].cpm[i]);
     }
 
     void compute_big_m() {
         // Larger than any feasible completion time in the window: total
         // work plus the latest release plus the window itself.
-        double total = instance.window + 1.0;
-        for (const PlanTask& task : instance.tasks) {
+        double total = to_ms(instance.window) + 1.0;
+        for (std::size_t j = 0; j < task_count; ++j) {
             double worst = 0.0;
-            for (const ResourceId i : task.executable) worst = std::max(worst, task.cpm[i]);
-            total += worst;
-            total += std::max(0.0, task.release - instance.now);
+            for (const ResourceId i : instance.tasks[j].executable) worst = std::max(worst, cp(j, i));
+            total += worst + std::max(0.0, release_rel(j));
         }
         big_m = 4.0 * total;
     }
@@ -75,7 +80,7 @@ struct Encoder {
                 // Constraint (2): a mapping that cannot meet the deadline is
                 // excluded structurally.  Pinned tasks keep their (single)
                 // variable regardless; their admission was already granted.
-                if (!task.pinned && task.cpm[i] > tleft(j)) continue;
+                if (!task.pinned && task.cpm[i] > task.time_left(instance.now)) continue;
                 x[j][i] = lp.add_binary_variable(tag("x", j, i));
                 lp.set_objective(x[j][i], task.epm[i]);
             }
@@ -127,8 +132,7 @@ struct Encoder {
         const bool hosts_predicted =
             predicted_index != SIZE_MAX && x[predicted_index][i] >= 0;
         const int xp = hosts_predicted ? x[predicted_index][i] : -1;
-        const double dp =
-            hosts_predicted ? instance.tasks[predicted_index].abs_deadline : kInf;
+        const Time dp = hosts_predicted ? instance.tasks[predicted_index].abs_deadline : kNever;
 
         // Split into SL1 / SL2 relative to the predicted deadline.  The
         // pinned task sits in SL1 by construction (it runs first).
@@ -146,7 +150,7 @@ struct Encoder {
         std::vector<milp::LinearTerm> prefix;
         std::size_t position = 0;
         for (const std::size_t j : order) {
-            prefix.push_back({x[j][i], instance.tasks[j].cpm[i]});
+            prefix.push_back({x[j][i], cp(j, i)});
             ++position;
             std::vector<milp::LinearTerm> terms = prefix;
             double rhs = tleft(j);
@@ -161,8 +165,7 @@ struct Encoder {
 
         if (!hosts_predicted) return;
 
-        const PlanTask& predicted = instance.tasks[predicted_index];
-        const double cp_p = predicted.cpm[i];
+        const double cp_p = cp(predicted_index, i);
         const double sp = release_rel(predicted_index);
         const double tleft_p = tleft(predicted_index);
         const bool preemptable = instance.platform->resource(i).preemptable();
@@ -171,7 +174,7 @@ struct Encoder {
         const int q = lp.add_variable(tag("q", i), 0.0, kInf);
         {
             std::vector<milp::LinearTerm> terms{{q, -1.0}};
-            for (const std::size_t j : sl1) terms.push_back({x[j][i], instance.tasks[j].cpm[i]});
+            for (const std::size_t j : sl1) terms.push_back({x[j][i], cp(j, i)});
             lp.add_constraint(std::move(terms), milp::Relation::equal, 0.0, tag("qdef", i));
         }
 
@@ -209,7 +212,7 @@ struct Encoder {
                               tag("c10", j, i));
             // (11): the chunks cover exactly the remaining work when mapped.
             lp.add_constraint(
-                {{ec1, 1.0}, {sc1, -1.0}, {ec2, 1.0}, {sc2, -1.0}, {x[j][i], -instance.tasks[j].cpm[i]}},
+                {{ec1, 1.0}, {sc1, -1.0}, {ec2, 1.0}, {sc2, -1.0}, {x[j][i], -cp(j, i)}},
                 milp::Relation::equal, 0.0, tag("c11", j, i));
             // No preemption on GPUs (Sec 4.1): the second chunk is empty.
             if (!preemptable)
@@ -289,7 +292,7 @@ std::optional<MilpRM::Result> MilpRM::optimize(const PlanInstance& instance,
                                                const milp::MilpOptions& options) {
     // The literal Sec 4.2 formulation has no notion of reserved windows or
     // DVFS operating points; use ExactRM for those extensions.
-    for (const double blocked : instance.blocked_time) RMWP_EXPECT(blocked == 0.0);
+    for (const Time blocked : instance.blocked_time) RMWP_EXPECT(blocked == 0);
     RMWP_EXPECT(!instance.platform->has_dvfs());
     Encoder encoder(instance);
     if (!encoder.structurally_feasible()) return std::nullopt;

@@ -1,7 +1,6 @@
 #include "core/plan_instance.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -27,17 +26,15 @@ void fill_real_task(PlanTask& plan, const Platform& platform, const TaskType& ty
     plan.pinned_resource = task.resource;
     plan.is_predicted = false;
     plan.is_candidate = is_candidate;
-    plan.cpm.assign(n, std::numeric_limits<double>::infinity());
+    plan.cpm.assign(n, kNever);
     plan.epm.assign(n, std::numeric_limits<double>::infinity());
     plan.executable.clear();
     for (ResourceId i = 0; i < n; ++i) {
         if (!type.executable_on(i)) continue;
         if (task.pinned && i != task.resource) continue;
         if (health != nullptr && !health->online(i)) continue; // offline = infeasible
-        plan.cpm[i] = occupied_time(task, type, i);
-        if (health != nullptr)
-            plan.cpm[i] += (health->throttle(i) - 1.0) * remaining_time(task, type, i);
-        plan.epm[i] = assignment_energy(task, type, i);
+        plan.cpm[i] = occupied_time(task, type, i, health);
+        plan.epm[i] = assignment_energy(task, type, i, health);
         plan.executable.push_back(i);
     }
     // Under a degraded platform a task can have no feasible resource left
@@ -62,14 +59,13 @@ void fill_predicted_task(PlanTask& plan, const Platform& platform, const Catalog
     plan.pinned_resource = 0;
     plan.is_predicted = true;
     plan.is_candidate = false;
-    plan.cpm.assign(n, std::numeric_limits<double>::infinity());
+    plan.cpm.assign(n, kNever);
     plan.epm.assign(n, std::numeric_limits<double>::infinity());
     plan.executable.clear();
     for (ResourceId i = 0; i < n; ++i) {
         if (!type.executable_on(i)) continue;
         if (health != nullptr && !health->online(i)) continue;
-        plan.cpm[i] = type.wcet(i);
-        if (health != nullptr) plan.cpm[i] *= health->throttle(i);
+        plan.cpm[i] = effective_wcet(type, i, health);
         plan.epm[i] = type.energy(i);
         plan.executable.push_back(i);
     }
@@ -83,16 +79,15 @@ void fill_predicted_task(PlanTask& plan, const Platform& platform, const Catalog
 /// Memoised at two levels.  The raw expansion is computed once per
 /// (table, now) at the largest window seen — blocks_for never clips a
 /// block's duration at the far end, so any narrower window's block set is
-/// the exact generation-order subsequence with release < now + window, and
-/// the blocked-time float sums (accumulated in generation order) come out
-/// bit-identical to a direct query.  The derived per-window set is then
+/// the exact generation-order subsequence with release < now + window,
+/// which a direct query reproduces block for block.  The derived set is then
 /// cached for the admission ladder's rungs, which almost always share one
 /// window.  The key uses the table's revision (process-unique, contents
 /// immutable), never its address, so recycled allocations cannot alias.
 void fill_blocks(PlanInstance& instance, const ReservationTable* reservations) {
     const std::size_t n = instance.platform->size();
     instance.blocks.resize(n);
-    instance.blocked_time.assign(n, 0.0);
+    instance.blocked_time.assign(n, 0);
     if (reservations == nullptr || reservations->empty()) {
         // The instance may be pooled: drop any stale blocks of a previous
         // activation that did have reservations.
@@ -102,15 +97,15 @@ void fill_blocks(PlanInstance& instance, const ReservationTable* reservations) {
 
     struct BlockCache {
         std::uint64_t revision = 0;
-        Time now = -1.0;
+        Time now = -1;
         std::size_t resources = 0;
         // Raw expansion at `horizon`, per anchor, in generation order.
-        Time horizon = -1.0;
+        Time horizon = -1;
         std::vector<std::vector<ScheduleItem>> raw;
         // Derived (filtered + dispatch-sorted) set for `window`.
-        Time window = -1.0;
+        Time window = -1;
         std::vector<std::vector<ScheduleItem>> blocks;
-        std::vector<double> blocked_time;
+        std::vector<Time> blocked_time;
     };
     thread_local BlockCache cache;
 
@@ -129,15 +124,15 @@ void fill_blocks(PlanInstance& instance, const ReservationTable* reservations) {
                 reservations->blocks_for(i, instance.now, instance.now + instance.window);
             cache.raw[anchor].insert(cache.raw[anchor].end(), blocks.begin(), blocks.end());
         }
-        cache.window = -2.0; // invalidate the derived level
+        cache.window = -2; // invalidate the derived level
     }
 
     if (cache.window != instance.window) {
         RMWP_STAGE_SCOPE(obs::Stage::sorted_refresh);
         cache.window = instance.window;
         cache.blocks.assign(n, {});
-        cache.blocked_time.assign(n, 0.0);
-        if (instance.window <= 0.0) {
+        cache.blocked_time.assign(n, 0);
+        if (instance.window <= 0) {
             // Degenerate window: `release` collapses start==now with
             // start<now, which decide inclusion at width zero differently —
             // fall back to a direct query (cold: real admissions always
@@ -167,11 +162,11 @@ void fill_blocks(PlanInstance& instance, const ReservationTable* reservations) {
         }
 #ifdef RMWP_AUDIT
         // Drift gate for the superset-filter shortcut: a direct expansion
-        // at this exact window must agree block-for-block and bit-for-bit
-        // on the accumulated blocked time.
+        // at this exact window must agree block for block and on the
+        // blocked time.
         {
             std::vector<std::vector<ScheduleItem>> direct(n);
-            std::vector<double> direct_time(n, 0.0);
+            std::vector<Time> direct_time(n, 0);
             for (ResourceId i = 0; i < n; ++i) {
                 const ResourceId anchor = instance.platform->resource(i).physical();
                 auto blocks =
@@ -262,7 +257,7 @@ const PlanInstance& PlanInstance::build_into(PlanPool& pool, const ArrivalContex
     // Instance-shape invariant every solver relies on: active tasks first,
     // then the candidate, then the predicted tail; window covers all of it.
     RMWP_ENSURE(instance.tasks.size() == count);
-    RMWP_ENSURE(instance.window >= 0.0);
+    RMWP_ENSURE(instance.window >= 0);
     return instance;
 }
 
@@ -274,7 +269,7 @@ PlanInstance PlanInstance::build_rescue(const RescueContext& context,
     PlanInstance instance;
     instance.platform = context.platform;
     instance.now = context.now;
-    instance.window = 0.0;
+    instance.window = 0;
     for (const ActiveTask& task : tasks)
         instance.window = std::max(instance.window, task.absolute_deadline - context.now);
 
@@ -417,10 +412,7 @@ Decision BatchPlanner::admit(std::size_t m, std::span<const ResourceId> mapping)
         ActiveTask& task = working_[j];
         if (assignment.resource == task.resource) continue;
         RMWP_ENSURE(!task.pinned); // non-preemptable tasks never move
-        if (task.started)
-            task.pending_overhead =
-                catalog.type(task.type).migration_time(task.resource, assignment.resource);
-        task.resource = assignment.resource;
+        relocate(task, catalog.type(task.type), assignment.resource, batch_->health);
         fill_real_task(instance_.tasks[j], *batch_->platform, batch_->type_of(task), batch_->now,
                        task, /*is_candidate=*/false, batch_->health);
     }
@@ -440,7 +432,7 @@ ScheduleItem PlanInstance::item_for(std::size_t index, ResourceId i) const {
     RMWP_EXPECT(index < tasks.size());
     const PlanTask& task = tasks[index];
     RMWP_EXPECT(i < task.cpm.size());
-    RMWP_EXPECT(std::isfinite(task.cpm[i]));
+    RMWP_EXPECT(task.cpm[i] != kNever);
     ScheduleItem item;
     item.uid = task.uid;
     item.resource = i;
@@ -457,7 +449,7 @@ void PlanScratch::reset(const PlanInstance& instance) {
     RMWP_EXPECT(instance.blocks.size() == n);
     constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-    capacity.assign(n, 0.0);
+    capacity.assign(n, 0);
     f.assign(count * n, kInfinity);
     excluded.assign(n, 0);
     mapping.assign(count, 0);
@@ -495,7 +487,7 @@ void PlanScratch::reset(const PlanInstance& instance) {
 }
 
 std::uint64_t PlanScratch::footprint_bytes() const noexcept {
-    std::uint64_t bytes = capacity.capacity() * sizeof(double) +
+    std::uint64_t bytes = capacity.capacity() * sizeof(Time) +
                           f.capacity() * sizeof(double) + excluded.capacity() +
                           mapping.capacity() * sizeof(ResourceId) +
                           phys.capacity() * sizeof(ResourceId) +

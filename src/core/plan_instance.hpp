@@ -20,14 +20,15 @@ namespace rmwp {
 /// One task of the optimisation instance.
 struct PlanTask {
     TaskUid uid = 0;
-    Time release = 0.0;
-    Time abs_deadline = 0.0;
+    Time release = 0;
+    Time abs_deadline = 0;
     bool pinned = false;
     ResourceId pinned_resource = 0;
     bool is_predicted = false;
     bool is_candidate = false;
-    /// cpm_{j,i} / epm_{j,i} indexed by resource; +inf when not executable.
-    std::vector<double> cpm;
+    /// cpm_{j,i} / epm_{j,i} indexed by resource; kNever / +inf when not
+    /// executable.
+    std::vector<Time> cpm;
     std::vector<double> epm;
     /// Resources the task can execute on (respecting pinning).
     std::vector<ResourceId> executable;
@@ -40,14 +41,14 @@ struct PlanPool;
 /// The full instance for one activation.
 struct PlanInstance {
     const Platform* platform = nullptr;
-    Time now = 0.0;
-    Time window = 0.0; ///< K-bar = max_j t_left_j
+    Time now = 0;
+    Time window = 0; ///< K-bar = max_j t_left_j
     std::vector<PlanTask> tasks; ///< candidate and (if any) predicted are last
     std::size_t predicted_count = 0; ///< predicted tasks included (at the tail)
     /// Critical-reservation blocks intersecting the window, per resource.
     std::vector<std::vector<ScheduleItem>> blocks;
     /// Reserved time per resource within the window (capacity reduction).
-    std::vector<double> blocked_time;
+    std::vector<Time> blocked_time;
 
     [[nodiscard]] bool has_predicted() const noexcept { return predicted_count > 0; }
 
@@ -176,7 +177,7 @@ struct RegretTriple {
 /// threads, so solver scratch must never live on the RM itself.
 struct PlanScratch {
     // Knapsack state (task-major matrix: element (j, i) at [j * n + i]).
-    std::vector<double> capacity;        ///< per physical resource
+    std::vector<Time> capacity;          ///< per physical resource
     std::vector<double> f;               ///< desirability f_{j,i}
     std::vector<std::uint8_t> excluded;  ///< lanes the task being placed failed on
     std::vector<ResourceId> mapping;
@@ -275,11 +276,11 @@ template <typename Solver>
         double worst = -1.0;
         for (std::size_t j = 0; j < keep.size(); ++j) {
             const PlanTask& task = instance.tasks[j];
-            double cheapest = task.cpm[task.executable.front()];
+            Time cheapest = task.cpm[task.executable.front()];
             for (const ResourceId i : task.executable)
                 cheapest = std::min(cheapest, task.cpm[i]);
-            const double slack = std::max(task.time_left(context.now), 1e-9);
-            const double ratio = cheapest / slack;
+            const Time slack = std::max<Time>(task.time_left(context.now), 1);
+            const double ratio = static_cast<double>(cheapest) / static_cast<double>(slack);
             const bool better =
                 ratio > worst ||
                 (ratio == worst && task.abs_deadline > instance.tasks[victim].abs_deadline) ||

@@ -1,8 +1,7 @@
 #include "core/reservation.hpp"
 
 #include <atomic>
-#include <cmath>
-#include <limits>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -32,10 +31,10 @@ std::uint64_t ReservationTable::next_revision() noexcept {
 ReservationTable::ReservationTable(std::vector<CriticalTask> tasks) : tasks_(std::move(tasks)) {
     for (const CriticalTask& task : tasks_) {
         RMWP_EXPECT(!task.name.empty());
-        RMWP_EXPECT(task.period > 0.0);
-        RMWP_EXPECT(task.duration > 0.0);
+        RMWP_EXPECT(task.period > 0);
+        RMWP_EXPECT(task.duration > 0);
         RMWP_EXPECT(task.duration <= task.period);
-        RMWP_EXPECT(task.offset >= 0.0);
+        RMWP_EXPECT(task.offset >= 0);
         RMWP_EXPECT(task.energy_per_instance >= 0.0);
     }
     // Same-resource reservations must never overlap: with arbitrary periods
@@ -43,13 +42,21 @@ ReservationTable::ReservationTable(std::vector<CriticalTask> tasks) : tasks_(std
     // sufficient condition used by static allocators — the summed
     // utilisation per resource stays below 1 and windows are validated
     // lazily when expanded (an overlap surfaces as an infeasible schedule).
+    // The sum is exact: a reduced fraction over the periods' lcm.
     for (std::size_t a = 0; a < tasks_.size(); ++a) {
-        double utilization = tasks_[a].utilization();
-        for (std::size_t b = 0; b < tasks_.size(); ++b) {
-            if (a == b || tasks_[a].resource != tasks_[b].resource) continue;
-            if (b > a) utilization += tasks_[b].utilization();
+        Int128 num = 0;
+        Int128 den = 1;
+        for (std::size_t b = a; b < tasks_.size(); ++b) {
+            if (tasks_[a].resource != tasks_[b].resource) continue;
+            num = num * tasks_[b].period + tasks_[b].duration * den;
+            den *= tasks_[b].period;
+            Int128 x = num;
+            Int128 y = den;
+            while (y != 0) x = std::exchange(y, x % y);
+            num /= x;
+            den /= x;
         }
-        RMWP_EXPECT(utilization <= 1.0 + 1e-9);
+        RMWP_EXPECT(num <= den);
     }
 }
 
@@ -70,13 +77,12 @@ std::vector<ScheduleItem> ReservationTable::blocks_for(ResourceId resource, Time
 
         // First instance whose window end is after `from`.
         std::uint64_t instance = 0;
-        if (from > task.offset + task.duration) {
+        if (from > task.offset + task.duration)
             instance = static_cast<std::uint64_t>(
-                std::ceil((from - task.offset - task.duration) / task.period));
-        }
-        Time previous_end = -std::numeric_limits<Time>::infinity();
+                (from - task.offset - task.duration + task.period - 1) / task.period);
+        Time previous_end = 0;
         for (;; ++instance) {
-            const Time start = task.offset + static_cast<double>(instance) * task.period;
+            const Time start = task.offset + static_cast<Time>(instance) * task.period;
             const Time end = start + task.duration;
             if (end <= from) continue;
             if (start >= until) break;
@@ -93,8 +99,8 @@ std::vector<ScheduleItem> ReservationTable::blocks_for(ResourceId resource, Time
             // reserved time, and successive instances of one task never
             // overlap (duration <= period is a constructor precondition).
             RMWP_ENSURE(block.release >= from && block.release <= until);
-            RMWP_ENSURE(block.duration > 0.0);
-            RMWP_ENSURE(block.release >= previous_end - 1e-9);
+            RMWP_ENSURE(block.duration > 0);
+            RMWP_ENSURE(block.release >= previous_end);
             previous_end = end;
             blocks.push_back(block);
         }

@@ -28,12 +28,14 @@ namespace rmwp {
 struct CriticalTask {
     std::string name;
     ResourceId resource = 0;
-    Time period = 0.0;
-    Time offset = 0.0;   ///< first window start
-    Time duration = 0.0; ///< reserved time per instance
+    Time period = 0;
+    Time offset = 0;   ///< first window start
+    Time duration = 0; ///< reserved time per instance
     double energy_per_instance = 0.0;
 
-    [[nodiscard]] double utilization() const noexcept { return duration / period; }
+    [[nodiscard]] double utilization() const noexcept {
+        return static_cast<double>(duration) / static_cast<double>(period);
+    }
 };
 
 /// The static reservation schedule the adaptive RM must respect.

@@ -24,7 +24,7 @@ std::vector<Segment> WindowSchedule::segments_of(TaskUid uid) const {
     // One task never executes in two places at once: its segments, merged
     // across all timelines, must still be non-overlapping in time.
     for (std::size_t s = 1; s < result.size(); ++s)
-        RMWP_ENSURE(result[s].start >= result[s - 1].end - 1e-9);
+        RMWP_ENSURE(result[s].start >= result[s - 1].end);
     return result;
 }
 

@@ -5,7 +5,6 @@
 // predicted task) appear as a task's work split across multiple segments.
 #pragma once
 
-#include <limits>
 #include <optional>
 #include <vector>
 
@@ -45,8 +44,8 @@ inline constexpr TaskUid kPredictedUid = kPredictedUidBase;
 /// A contiguous stretch of one task's execution on one resource.
 struct Segment {
     TaskUid uid = 0;
-    Time start = 0.0;
-    Time end = 0.0;
+    Time start = 0;
+    Time end = 0;
 
     [[nodiscard]] Time duration() const noexcept { return end - start; }
     [[nodiscard]] bool operator==(const Segment&) const = default;
@@ -62,7 +61,7 @@ struct ResourceTimeline {
 /// One task's final finish time in a planned window.
 struct TaskCompletion {
     TaskUid uid = 0;
-    Time time = 0.0;
+    Time time = 0;
 
     [[nodiscard]] bool operator==(const TaskCompletion&) const = default;
 };
@@ -71,9 +70,9 @@ struct TaskCompletion {
 struct ScheduleItem {
     TaskUid uid = 0;
     ResourceId resource = 0;
-    Time release = 0.0;       ///< activation time for real tasks, s_p for the predicted one
-    Time abs_deadline = 0.0;
-    double duration = 0.0;    ///< cpm on `resource` (remaining work + migration overhead)
+    Time release = 0;          ///< activation time for real tasks, s_p for the predicted one
+    Time abs_deadline = 0;
+    Time duration = 0;         ///< cpm on `resource` (remaining work + migration overhead)
     bool pinned_first = false; ///< currently executing on a non-preemptable resource
     /// Design-time critical reservation: runs exactly at [release,
     /// release + duration) with absolute priority over every adaptive task.
@@ -82,7 +81,7 @@ struct ScheduleItem {
 
 /// Result of planning one window.
 struct WindowSchedule {
-    Time start = 0.0;
+    Time start = 0;
     bool feasible = false;
     std::vector<ResourceTimeline> per_resource;
     /// Final finish time per task, sorted by uid (one entry per uid).
@@ -94,7 +93,7 @@ struct WindowSchedule {
     /// All segments of one task across resources, in time order.
     [[nodiscard]] std::vector<Segment> segments_of(TaskUid uid) const;
 
-    /// Field-by-field (bitwise on times) equality.
+    /// Field-by-field equality.
     [[nodiscard]] bool operator==(const WindowSchedule&) const = default;
 };
 

@@ -134,7 +134,7 @@ private:
         bool ok = false;
         bool proven = true;
         std::uint64_t version = 0;
-        double window = -1.0;
+        Time window = -1;
         std::vector<ResourceId> mapping;
     };
 

@@ -1,6 +1,7 @@
 #include "exp/runner.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 
@@ -64,8 +65,8 @@ TraceResult ExperimentRunner::run_trace(std::size_t t, ResourceManager& rm,
 
     PredictorSpec resolved = predictor;
     if (resolved.overhead_interarrival_coeff != 0.0 && trace.size() >= 2) {
-        resolved.overhead +=
-            resolved.overhead_interarrival_coeff * trace.mean_interarrival();
+        resolved.overhead += static_cast<Time>(
+            std::llround(resolved.overhead_interarrival_coeff * trace.mean_interarrival()));
         resolved.overhead_interarrival_coeff = 0.0;
     }
     const std::unique_ptr<Predictor> instance =

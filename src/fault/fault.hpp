@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "platform/health.hpp"
@@ -28,7 +27,7 @@ namespace rmwp {
 /// (src/obs/export.cpp) — append new kinds at the end only.
 enum class FaultKind {
     outage,    ///< resource offline during [start, end), then recovers
-    permanent, ///< resource offline from `start` forever (end = +inf)
+    permanent, ///< resource offline from `start` forever (end = kNever)
     throttle,  ///< effective WCETs on the resource x factor during [start, end)
 };
 
@@ -38,8 +37,8 @@ enum class FaultKind {
 struct FaultEvent {
     FaultKind kind = FaultKind::outage;
     ResourceId resource = 0; ///< physical core id
-    Time start = 0.0;
-    Time end = std::numeric_limits<Time>::infinity(); ///< recovery instant (exclusive)
+    Time start = 0;
+    Time end = kNever;   ///< recovery instant (exclusive)
     double factor = 1.0;     ///< WCET multiplier while active (throttle only)
 
     /// Whether the fault is in effect at time t (half-open interval).
@@ -47,9 +46,9 @@ struct FaultEvent {
     [[nodiscard]] bool takes_offline() const noexcept { return kind != FaultKind::throttle; }
 };
 
-/// Generation knobs.  Rates are expected events per physical resource per
-/// 1000 time units (milliseconds in this repository), drawn as Poisson
-/// processes; durations are exponential.  All zero (the default) means no
+/// Generation knobs, in milliseconds.  Rates are expected events per
+/// physical resource per 1000 ms, drawn as Poisson processes; durations
+/// (ms) are exponential.  All zero (the default) means no
 /// faults, so fault-free configurations are bit-identical to the seed.
 struct FaultParams {
     double outage_rate = 0.0;

@@ -4,8 +4,8 @@
 // arrivals, admissions and rejections (with reason codes), executed
 // schedule slices, preemptions, migrations, fault onsets/recoveries,
 // rescue steps, plan rebuilds — is recorded as one fixed-size TraceEvent.
-// Events carry two clocks: `t_sim` (simulated milliseconds, fully
-// deterministic) and `t_host` (host seconds since the sink was created,
+// Events carry two clocks: `t_sim` (simulated time in ticks, fully
+// deterministic; the JSONL and Chrome exports write milliseconds) and `t_host` (host seconds since the sink was created,
 // explicitly excluded from every determinism comparison).  The payload is
 // numeric by design: the event stream stays POD, allocation-free, and
 // cheap enough to record on the admission hot path.
@@ -13,6 +13,8 @@
 
 #include <cstdint>
 #include <limits>
+
+#include "util/time.hpp"
 
 namespace rmwp::obs {
 
@@ -51,11 +53,11 @@ inline constexpr std::int64_t kNoResource = -1;
 
 /// One recorded event.  48 bytes, trivially copyable.
 struct TraceEvent {
-    double t_sim = 0.0;  ///< simulated time (ms) — deterministic
+    Time t_sim = 0;      ///< simulated time (ticks) — deterministic
     double t_host = 0.0; ///< host seconds since sink creation — NOT deterministic
     std::uint64_t task = kNoTask;
     std::int64_t resource = kNoResource;
-    double detail = 0.0;    ///< kind-specific payload (duration, energy, set size, ...)
+    double detail = 0.0;    ///< kind-specific payload (duration in ms, energy, set size, ...)
     std::uint32_t aux = 0;  ///< kind-specific small payload (reason/kind codes, targets)
     EventKind kind = EventKind::arrival;
 

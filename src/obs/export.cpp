@@ -82,7 +82,7 @@ void append_event_jsonl(std::string& out, const TraceEvent& event, bool include_
         out += buffer;
     };
     out += "{\"t_sim\":";
-    append_double(event.t_sim);
+    append_double(to_ms(event.t_sim));
     if (include_host_time) {
         out += ",\"t_host\":";
         append_double(event.t_host);
@@ -141,7 +141,9 @@ std::vector<TraceEvent> read_events_jsonl(std::istream& in) {
         };
 
         TraceEvent event;
-        event.t_sim = number_field("t_sim");
+        const double t_sim_ms = number_field("t_sim");
+        if (!representable_ms(t_sim_ms)) fail("field \"t_sim\" outside the time range");
+        event.t_sim = to_ticks(t_sim_ms, TickRounding::nearest);
 
         const JsonValue* kind = value.find("kind");
         if (kind == nullptr || !kind->is_string()) fail("missing or non-string field \"kind\"");
@@ -254,7 +256,7 @@ void write_chrome_trace(std::ostream& out, std::span<const TraceEvent> events,
 
     double horizon_us = 0.0;
     for (const TraceEvent& event : events)
-        horizon_us = std::max(horizon_us, event.t_sim * kMsToUs);
+        horizon_us = std::max(horizon_us, to_ms(event.t_sim) * kMsToUs);
 
     // Open fault spans per resource: onset opens, recovery closes; spans
     // still open at the end of the stream (permanent failures) run to the
@@ -268,7 +270,7 @@ void write_chrome_trace(std::ostream& out, std::span<const TraceEvent> events,
     std::vector<OpenFault> open_faults;
 
     for (const TraceEvent& event : events) {
-        const double ts = event.t_sim * kMsToUs;
+        const double ts = to_ms(event.t_sim) * kMsToUs;
         const std::string task_label =
             event.task == kNoTask ? std::string("-") : std::to_string(event.task);
         switch (event.kind) {

@@ -30,7 +30,7 @@ TraceSink::TraceSink(std::size_t capacity) : capacity_(capacity) {
     ring_.resize(capacity_);
 }
 
-void TraceSink::emit(double t_sim, EventKind kind, std::uint64_t task, std::int64_t resource,
+void TraceSink::emit(Time t_sim, EventKind kind, std::uint64_t task, std::int64_t resource,
                      double detail, std::uint32_t aux) noexcept {
     if (emitted_ == capacity_) note_ring_overwrite(capacity_);
     TraceEvent& slot = ring_[emitted_ % capacity_];

@@ -42,7 +42,7 @@ public:
     /// Record one event.  `t_host` is stamped here (host seconds since the
     /// sink was created); every other field is caller-provided simulated
     /// state, so the deterministic payload never depends on the host.
-    void emit(double t_sim, EventKind kind, std::uint64_t task = kNoTask,
+    void emit(Time t_sim, EventKind kind, std::uint64_t task = kNoTask,
               std::int64_t resource = kNoResource, double detail = 0.0,
               std::uint32_t aux = 0) noexcept;
 

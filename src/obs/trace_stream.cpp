@@ -61,8 +61,8 @@ void TraceStreamWriter::append(const TraceEvent& event) {
     out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
     if (!out_)
         throw std::runtime_error("trace stream: write failed on shard '" + current_.file + "'");
-    if (current_.events == 0) current_.first_t_sim = event.t_sim;
-    current_.last_t_sim = event.t_sim;
+    if (current_.events == 0) current_.first_t_sim = to_ms(event.t_sim);
+    current_.last_t_sim = to_ms(event.t_sim);
     ++current_.events;
     current_.bytes += line_.size();
     ++total_events_;

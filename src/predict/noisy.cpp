@@ -1,6 +1,7 @@
 #include "predict/noisy.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/check.hpp"
 #include "util/table.hpp"
@@ -16,7 +17,7 @@ NoisyPredictor::NoisyPredictor(const Catalog& catalog, double type_accuracy, dou
       overhead_(overhead) {
     RMWP_EXPECT(type_accuracy_ >= 0.0 && type_accuracy_ <= 1.0);
     RMWP_EXPECT(time_nrmse_ >= 0.0);
-    RMWP_EXPECT(overhead_ >= 0.0);
+    RMWP_EXPECT(overhead_ >= 0);
 }
 
 std::string NoisyPredictor::name() const {
@@ -49,7 +50,7 @@ PredictedTask NoisyPredictor::perturb(const Request& truth, Time now) {
 
     Time arrival = truth.arrival;
     if (time_nrmse_ > 0.0 && mean_interarrival_ > 0.0)
-        arrival += rng_.gaussian(0.0, time_nrmse_ * mean_interarrival_);
+        arrival += std::llround(rng_.gaussian(0.0, time_nrmse_ * mean_interarrival_));
     predicted.arrival = std::max(arrival, now);
     predicted.relative_deadline = truth.relative_deadline;
     return predicted;

@@ -22,7 +22,7 @@ namespace rmwp {
 class NoisyPredictor final : public Predictor {
 public:
     NoisyPredictor(const Catalog& catalog, double type_accuracy, double time_nrmse, Rng rng,
-                   Time overhead = 0.0);
+                   Time overhead = 0);
 
     [[nodiscard]] std::string name() const override;
     void observe(const Trace&, std::size_t) override {}

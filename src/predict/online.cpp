@@ -132,7 +132,7 @@ OnlinePredictor::OnlinePredictor(const Catalog& catalog, Time overhead, double e
       type_deadline_seen_(catalog.size(), false),
       ewma_alpha_(ewma_alpha),
       overhead_(overhead) {
-    RMWP_EXPECT(overhead >= 0.0);
+    RMWP_EXPECT(overhead >= 0);
 }
 
 void OnlinePredictor::observe(const Trace& trace, std::size_t index) {
@@ -150,23 +150,24 @@ void OnlinePredictor::observe_arrival(const Request& request) {
         chain_.observe_first(request.type);
     } else {
         chain_.observe(last_request_.type, request.type);
-        interarrival_.observe(request.arrival - last_request_.arrival);
+        interarrival_.observe(static_cast<double>(request.arrival - last_request_.arrival));
     }
     last_request_ = request;
     have_last_request_ = true;
 
+    const auto deadline = static_cast<double>(request.relative_deadline);
     if (!type_deadline_seen_[request.type]) {
-        type_deadline_ewma_[request.type] = request.relative_deadline;
+        type_deadline_ewma_[request.type] = deadline;
         type_deadline_seen_[request.type] = true;
     } else {
         type_deadline_ewma_[request.type] +=
-            ewma_alpha_ * (request.relative_deadline - type_deadline_ewma_[request.type]);
+            ewma_alpha_ * (deadline - type_deadline_ewma_[request.type]);
     }
     if (!global_deadline_seen_) {
-        global_deadline_ewma_ = request.relative_deadline;
+        global_deadline_ewma_ = deadline;
         global_deadline_seen_ = true;
     } else {
-        global_deadline_ewma_ += ewma_alpha_ * (request.relative_deadline - global_deadline_ewma_);
+        global_deadline_ewma_ += ewma_alpha_ * (deadline - global_deadline_ewma_);
     }
 }
 
@@ -199,16 +200,17 @@ std::vector<PredictedTask> OnlinePredictor::rollout(const Request& anchor, Time 
     // Cold start: without at least one observed gap there is no timing model.
     if (interarrival_.observations() == 0) return horizon;
 
-    // Markov-chain rollout anchored at `anchor`.
+    // Markov-chain rollout anchored at `anchor` (the estimates are in
+    // ticks: the gap rounds to the nearest one, the deadline down).
     TaskTypeId type = anchor.type;
     Time arrival = anchor.arrival;
-    const double gap = interarrival_.predict();
+    const auto gap = static_cast<Time>(std::llround(interarrival_.predict()));
     for (std::size_t k = 1; k <= depth; ++k) {
         type = chain_.predict(type);
         arrival += gap;
-        const double deadline = type_deadline_seen_[type] ? type_deadline_ewma_[type]
-                                                          : global_deadline_ewma_;
-        if (deadline <= 0.0) break;
+        const auto deadline = static_cast<Time>(std::floor(
+            type_deadline_seen_[type] ? type_deadline_ewma_[type] : global_deadline_ewma_));
+        if (deadline <= 0) break;
         horizon.push_back(PredictedTask{type, std::max(arrival, now), deadline});
         if (k == 1) {
             last_predicted_type_ = type;
@@ -219,7 +221,7 @@ std::vector<PredictedTask> OnlinePredictor::rollout(const Request& anchor, Time 
 }
 
 void OnlinePredictor::save(std::ostream& os) const {
-    os << "RMWP-ONLINE-PREDICTOR 1\n";
+    os << "RMWP-ONLINE-PREDICTOR 2\n";
     chain_.save(os);
     interarrival_.save(os);
     os << type_deadline_ewma_.size() << '\n';
@@ -230,17 +232,16 @@ void OnlinePredictor::save(std::ostream& os) const {
     os << (global_deadline_seen_ ? 1 : 0) << ' ';
     put_f64(os, global_deadline_ewma_);
     put_f64(os, ewma_alpha_);
-    put_f64(os, overhead_);
+    os << overhead_ << '\n';
     os << type_predictions_ << ' ' << type_hits_ << ' ' << last_predicted_type_ << ' '
        << (have_last_prediction_ ? 1 : 0) << '\n';
-    os << (have_last_request_ ? 1 : 0) << ' ' << last_request_.type << ' ';
-    put_f64(os, last_request_.arrival);
-    put_f64(os, last_request_.relative_deadline);
+    os << (have_last_request_ ? 1 : 0) << ' ' << last_request_.type << ' '
+       << last_request_.arrival << ' ' << last_request_.relative_deadline << '\n';
 }
 
 void OnlinePredictor::restore(std::istream& is) {
     std::string magic, version;
-    if (!(is >> magic >> version) || magic != "RMWP-ONLINE-PREDICTOR" || version != "1")
+    if (!(is >> magic >> version) || magic != "RMWP-ONLINE-PREDICTOR" || version != "2")
         throw std::runtime_error("predictor checkpoint: bad header");
     chain_.load(is);
     interarrival_.load(is);
@@ -254,15 +255,15 @@ void OnlinePredictor::restore(std::istream& is) {
     global_deadline_seen_ = get_u64(is, kCheckpointContext) != 0;
     global_deadline_ewma_ = get_f64(is, kCheckpointContext);
     ewma_alpha_ = get_f64(is, kCheckpointContext);
-    overhead_ = get_f64(is, kCheckpointContext);
+    overhead_ = get_ticks(is, kCheckpointContext);
     type_predictions_ = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
     type_hits_ = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
     last_predicted_type_ = static_cast<TaskTypeId>(get_u64(is, kCheckpointContext));
     have_last_prediction_ = get_u64(is, kCheckpointContext) != 0;
     have_last_request_ = get_u64(is, kCheckpointContext) != 0;
     last_request_.type = static_cast<TaskTypeId>(get_u64(is, kCheckpointContext));
-    last_request_.arrival = get_f64(is, kCheckpointContext);
-    last_request_.relative_deadline = get_f64(is, kCheckpointContext);
+    last_request_.arrival = get_ticks(is, kCheckpointContext);
+    last_request_.relative_deadline = get_ticks(is, kCheckpointContext);
 }
 
 double OnlinePredictor::realized_type_accuracy() const noexcept {

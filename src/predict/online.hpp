@@ -67,7 +67,7 @@ private:
 
 class OnlinePredictor final : public Predictor {
 public:
-    OnlinePredictor(const Catalog& catalog, Time overhead = 0.0, double ewma_alpha = 0.2);
+    OnlinePredictor(const Catalog& catalog, Time overhead = 0, double ewma_alpha = 0.2);
 
     [[nodiscard]] std::string name() const override { return "online"; }
     void observe(const Trace& trace, std::size_t index) override;

@@ -11,7 +11,8 @@ namespace rmwp {
 std::string PredictorSpec::label() const {
     switch (kind) {
     case Kind::none: return "off";
-    case Kind::oracle: return overhead > 0.0 ? "on(oh=" + format_fixed(overhead, 2) + ")" : "on";
+    case Kind::oracle:
+        return overhead > 0 ? "on(oh=" + format_fixed(to_ms(overhead), 2) + ")" : "on";
     case Kind::noisy:
         return "noisy(type=" + format_fixed(type_accuracy, 2) +
                ",nrmse=" + format_fixed(time_nrmse, 2) + ")";

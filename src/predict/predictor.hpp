@@ -57,7 +57,7 @@ public:
 
     /// Runtime cost of producing one prediction; the simulator delays the
     /// RM's decision by this much (Sec 5.5).
-    [[nodiscard]] virtual Time overhead() const noexcept { return 0.0; }
+    [[nodiscard]] virtual Time overhead() const noexcept { return 0; }
 
     // Streaming variants for long-running serve mode (DESIGN.md §11), where
     // no trace vector exists and requests are observed one at a time.  The
@@ -99,7 +99,7 @@ struct PredictorSpec {
     /// Normalised RMSE of the arrival-time prediction — 1 minus Fig 4b's axis.
     double time_nrmse = 0.0;
     /// Decision delay per activation — Fig 5's axis (absolute time).
-    Time overhead = 0.0;
+    Time overhead = 0;
     /// Additional decision delay expressed as a fraction of the trace's mean
     /// interarrival time (Fig 5 sweeps this coefficient); resolved to an
     /// absolute overhead per trace by the experiment runner.
@@ -109,7 +109,7 @@ struct PredictorSpec {
     std::size_t lookahead = 1;
 
     [[nodiscard]] static PredictorSpec off() { return {}; }
-    [[nodiscard]] static PredictorSpec perfect(Time overhead = 0.0) {
+    [[nodiscard]] static PredictorSpec perfect(Time overhead = 0) {
         PredictorSpec spec;
         spec.kind = Kind::oracle;
         spec.overhead = overhead;

@@ -26,27 +26,27 @@ std::optional<Request> SyntheticArrivalSource::next() {
     if (index_ > 0) {
         const double mean = params_.interarrival_mean;
         const double stddev = params_.interarrival_stddev;
-        arrival_ += rng.gaussian_above(mean, stddev, mean * 0.01);
+        arrival_ += to_ticks(rng.gaussian_above(mean, stddev, mean * 0.01), TickRounding::nearest);
     }
 
     const auto type_id = static_cast<TaskTypeId>(rng.index(catalog_.size()));
     const TaskType& type = catalog_.type(type_id);
     const auto& executable = type.executable_resources();
     const ResourceId picked = executable[rng.index(executable.size())];
-    const double rwcet = type.wcet(picked);
+    const Time rwcet = type.wcet(picked);
     TraceGenParams groups;
     groups.group = params_.group;
     const double coefficient =
         rng.uniform(groups.deadline_coefficient_min(), groups.deadline_coefficient_max());
 
     ++index_;
-    return Request{arrival_, type_id, rwcet * coefficient};
+    return Request{arrival_, type_id, scale_down(rwcet, coefficient)};
 }
 
 void SyntheticArrivalSource::seek(const SourceCursor& cursor) {
     if (params_.count != 0 && cursor.seq > params_.count)
         throw std::runtime_error("synthetic source: cursor past the configured count");
-    if (cursor.seq == 0 && cursor.aux != 0.0)
+    if (cursor.seq == 0 && cursor.aux != 0)
         throw std::runtime_error("synthetic source: cursor at 0 must carry arrival 0");
     index_ = cursor.seq;
     arrival_ = cursor.aux;
@@ -85,7 +85,7 @@ std::optional<Request> CsvFileSource::next() { return stream_->next(); }
 
 std::uint64_t CsvFileSource::parse_errors() const noexcept { return stream_->parse_errors(); }
 
-SourceCursor CsvFileSource::cursor() const noexcept { return {stream_->delivered(), 0.0}; }
+SourceCursor CsvFileSource::cursor() const noexcept { return {stream_->delivered(), 0}; }
 
 void CsvFileSource::seek(const SourceCursor& cursor) {
     // Replay from the top, skipping cursor.seq well-formed lines.  Malformed

@@ -38,7 +38,7 @@ namespace rmwp {
 /// accumulated arrival time; unused for CSV files).
 struct SourceCursor {
     std::uint64_t seq = 0;
-    double aux = 0.0;
+    Time aux = 0;
 };
 
 class ArrivalSource {
@@ -76,8 +76,8 @@ public:
 /// distributions are identical.
 struct SyntheticSourceParams {
     std::uint64_t seed = 1;
-    double interarrival_mean = 6.0; ///< calibrated default (EXPERIMENTS.md)
-    double interarrival_stddev = 2.0;
+    double interarrival_mean = 6.0; ///< ms; calibrated default (EXPERIMENTS.md)
+    double interarrival_stddev = 2.0; ///< ms
     DeadlineGroup group = DeadlineGroup::very_tight;
     std::uint64_t count = 0; ///< stop after this many requests; 0 = endless
 };
@@ -96,7 +96,7 @@ private:
     SyntheticSourceParams params_;
     Rng root_;
     std::uint64_t index_ = 0; ///< next request to generate
-    Time arrival_ = 0.0;      ///< arrival of the most recent request
+    Time arrival_ = 0;        ///< arrival of the most recent request
 };
 
 /// Streaming CSV over a caller-owned istream (stdin / pipes).  Malformed

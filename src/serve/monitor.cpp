@@ -162,7 +162,7 @@ std::string HealthReport::to_string() const {
                   static_cast<unsigned long long>(sample.deadline_misses),
                   static_cast<unsigned long long>(sample.active),
                   static_cast<unsigned long long>(sample.rss_kb), sample.latency_p99_us,
-                  sample.sim_clock);
+                  to_ms(sample.sim_clock));
     return buffer;
 }
 

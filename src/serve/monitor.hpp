@@ -32,6 +32,7 @@
 #include <thread>
 
 #include "obs/hdr.hpp"
+#include "util/time.hpp"
 
 namespace rmwp {
 
@@ -71,7 +72,7 @@ struct HealthBoard {
     std::atomic<std::uint64_t> ring_dropped{0};    ///< events lost to ring overflow
     std::atomic<std::uint64_t> predictor_predictions{0}; ///< resolved predictions
     std::atomic<std::uint64_t> predictor_hits{0};        ///< ... that were correct
-    std::atomic<double> sim_clock{0.0};
+    std::atomic<Time> sim_clock{0};
     LatencyHdr latency; ///< wall-clock per-arrival service latency
 };
 
@@ -88,7 +89,7 @@ struct BoardSample {
     std::uint64_t audit_checks = 0;
     std::uint64_t active = 0;
     std::uint64_t ring_occupancy = 0;
-    double sim_clock = 0.0;
+    Time sim_clock = 0;
     double latency_p99_us = 0.0;
     std::uint64_t latency_count = 0;
     std::uint64_t rss_kb = 0; ///< 0 when /proc is unavailable

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <deque>
@@ -41,7 +40,7 @@ void handle_stop_signal(int) { g_stop_requested.store(1, std::memory_order_relax
 struct PendingArrival {
     Request request;
     TaskUid uid = 0;
-    Time wake = 0.0;
+    Time wake = 0;
 };
 
 std::string hexf(double value) {
@@ -57,15 +56,15 @@ std::string make_digest(const Platform& platform, const Catalog& catalog,
                         const ResourceManager& rm, const Predictor& predictor,
                         const ServeConfig& config) {
     std::ostringstream os;
-    os << "v1|platform=" << platform.size() << "|catalog=" << catalog.size()
+    os << "v2|platform=" << platform.size() << "|catalog=" << catalog.size()
        << "|rm=" << rm.name() << "|predictor=" << predictor.name()
-       << "|decision_cost=" << hexf(config.decision_cost)
+       << "|decision_cost=" << config.decision_cost
        << "|max_pending=" << config.max_pending
-       << "|batch_window=" << hexf(config.batch_window)
+       << "|batch_window=" << config.batch_window
        << "|lookahead=" << config.sim.lookahead
        << "|exec_min=" << hexf(config.sim.execution_time_factor_min)
        << "|exec_seed=" << config.sim.execution_seed
-       << "|fault_seed=" << config.fault_seed << "|fault_chunk=" << hexf(config.fault_chunk)
+       << "|fault_seed=" << config.fault_seed << "|fault_chunk=" << config.fault_chunk
        << "|outage=" << hexf(config.faults.outage_rate)
        << "|outage_mean=" << hexf(config.faults.outage_duration_mean)
        << "|throttle=" << hexf(config.faults.throttle_rate)
@@ -95,8 +94,7 @@ FaultSchedule make_fault_chunk(const Platform& platform, const ServeConfig& conf
     shifted.reserve(base.size());
     for (FaultEvent event : base.events()) {
         event.start += offset;
-        event.end = std::isfinite(event.end) ? std::min(event.end + offset, chunk_end)
-                                             : chunk_end;
+        event.end = event.end != kNever ? std::min(event.end + offset, chunk_end) : chunk_end;
         if (event.end <= event.start) continue;
         shifted.push_back(event);
     }
@@ -121,13 +119,13 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
                       Predictor& predictor, const ReservationTable* reservations,
                       ArrivalSource& source, const ServeConfig& config) {
     RMWP_EXPECT(config.sim.fault_schedule == nullptr);
-    RMWP_EXPECT(config.sim.activation_period == 0.0);
-    RMWP_EXPECT(config.decision_cost >= 0.0);
+    RMWP_EXPECT(config.sim.activation_period == 0);
+    RMWP_EXPECT(config.decision_cost >= 0);
     if (config.faults.any()) {
         if (config.faults.permanent_prob != 0.0)
             throw std::runtime_error(
                 "serve: permanent faults are not supported (unbounded horizon)");
-        RMWP_EXPECT(config.fault_chunk > 0.0);
+        RMWP_EXPECT(config.fault_chunk > 0);
     }
     const bool checkpointing = !config.checkpoint_path.empty() && config.checkpoint_every > 0;
     if ((checkpointing || !config.restore_path.empty()) && !source.seekable())
@@ -155,8 +153,11 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
         if (!is)
             throw std::runtime_error("serve: cannot open checkpoint: " + config.restore_path);
         std::string magic, version;
-        if (!(is >> magic >> version) || magic != "RMWP-SERVE-CHECKPOINT" || version != "1")
+        if (!(is >> magic >> version) || magic != "RMWP-SERVE-CHECKPOINT")
             throw std::runtime_error("serve checkpoint: bad header");
+        if (version != "2")
+            throw std::runtime_error("serve checkpoint: version " + version +
+                                     " is not readable (this build reads version 2)");
         std::string label, stored_digest;
         if (!(is >> label >> stored_digest) || label != "digest")
             throw std::runtime_error("serve checkpoint: missing digest");
@@ -168,10 +169,10 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
         consumed = get_u64(is, kCheckpointContext);
         shed = get_u64(is, kCheckpointContext);
         chunk_index = get_u64(is, kCheckpointContext);
-        decider_free = get_f64(is, kCheckpointContext);
+        decider_free = get_ticks(is, kCheckpointContext);
         SourceCursor cursor;
         cursor.seq = get_u64(is, kCheckpointContext);
-        cursor.aux = get_f64(is, kCheckpointContext);
+        cursor.aux = get_ticks(is, kCheckpointContext);
 
         const auto backlog_size = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
         for (std::size_t k = 0; k < backlog_size; ++k) {
@@ -179,9 +180,9 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
             pending.uid = get_u64(is, kCheckpointContext);
             pending.request.type =
                 static_cast<TaskTypeId>(get_u64(is, kCheckpointContext));
-            pending.request.arrival = get_f64(is, kCheckpointContext);
-            pending.request.relative_deadline = get_f64(is, kCheckpointContext);
-            pending.wake = get_f64(is, kCheckpointContext);
+            pending.request.arrival = get_ticks(is, kCheckpointContext);
+            pending.request.relative_deadline = get_ticks(is, kCheckpointContext);
+            pending.wake = get_ticks(is, kCheckpointContext);
             if (pending.request.type >= catalog.size())
                 throw std::runtime_error("serve checkpoint: backlog references unknown type");
             backlog.push_back(pending);
@@ -208,7 +209,7 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
         source.seek(cursor);
     } else if (faults_on) {
         chunk = make_fault_chunk(platform, config, 0);
-        engine.set_fault_schedule(&*chunk, 0.0, /*include_events_at_from=*/true);
+        engine.set_fault_schedule(&*chunk, 0, /*include_events_at_from=*/true);
     }
 
     // --- monitor ---
@@ -241,9 +242,8 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
                            shed, engine.result().total_energy,
                            online != nullptr ? online->type_predictions() : 0,
                            online != nullptr ? online->type_hits() : 0};
-    Time next_window = config.window > 0.0
-                           ? (std::floor(engine.clock() / config.window) + 1.0) * config.window
-                           : std::numeric_limits<Time>::infinity();
+    Time next_window =
+        config.window > 0 ? (engine.clock() / config.window + 1) * config.window : kNever;
     std::uint64_t windows_emitted = 0;
 
     const auto publish_engine_state = [&] {
@@ -343,7 +343,7 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
                         board.ring_dropped.load(std::memory_order_relaxed));
             gauge("rmwp_serve_rss_kb", "process resident set size (kB)", sample.rss_kb);
             text.family("rmwp_serve_sim_clock_seconds", "simulation clock", "gauge");
-            text.sample("rmwp_serve_sim_clock_seconds", "", sample.sim_clock);
+            text.sample("rmwp_serve_sim_clock_seconds", "", to_ms(sample.sim_clock) / 1000.0);
 
             const std::uint64_t predictions =
                 board.predictor_predictions.load(std::memory_order_relaxed);
@@ -399,7 +399,7 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
             std::snprintf(line, sizeof line,
                           "[serve] t=%.0f accepted=%zu rejected=%zu shed=%llu completed=%zu "
                           "misses=%zu active=%zu energy=%.1f",
-                          next_window, r.accepted - window_base.accepted,
+                          to_ms(next_window), r.accepted - window_base.accepted,
                           r.rejected - window_base.rejected,
                           static_cast<unsigned long long>(shed - window_base.shed),
                           r.completed - window_base.completed, r.deadline_misses - window_base.misses,
@@ -454,7 +454,7 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
     const auto flush_front = [&](auto&& eligible) {
         // RMWP_LINT_ALLOW(R1): host-scope admission-latency metric; never feeds sim state
         const auto begun = std::chrono::steady_clock::now();
-        if (config.batch_window < 0.0) {
+        if (config.batch_window < 0) {
             const PendingArrival pending = backlog.front();
             backlog.pop_front();
             engine.stream_arrival(pending.request, pending.uid, pending.wake);
@@ -494,10 +494,8 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
     /// to (strictly before) the next arrival at `t`.
     const auto advance_to = [&](Time t) {
         while (true) {
-            const Time wake =
-                backlog.empty() ? std::numeric_limits<Time>::infinity() : backlog.front().wake;
-            const Time boundary =
-                faults_on ? chunk_end() : std::numeric_limits<Time>::infinity();
+            const Time wake = backlog.empty() ? kNever : backlog.front().wake;
+            const Time boundary = faults_on ? chunk_end() : kNever;
             if (wake < t && wake <= boundary) {
                 flush_front([&](Time w) { return w < t && w <= boundary; });
             } else if (faults_on && boundary <= t) {
@@ -514,20 +512,15 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
             std::ofstream os(tmp);
             if (!os)
                 throw std::runtime_error("serve: cannot write checkpoint: " + tmp);
-            os << "RMWP-SERVE-CHECKPOINT 1\n";
+            os << "RMWP-SERVE-CHECKPOINT 2\n";
             os << "digest " << digest << '\n';
-            os << consumed << ' ' << shed << ' ' << chunk_index << '\n';
-            put_f64(os, decider_free);
+            os << consumed << ' ' << shed << ' ' << chunk_index << '\n' << decider_free << '\n';
             const SourceCursor cursor = source.cursor();
-            os << cursor.seq << ' ';
-            put_f64(os, cursor.aux);
+            os << cursor.seq << ' ' << cursor.aux << '\n';
             os << backlog.size() << '\n';
-            for (const PendingArrival& pending : backlog) {
-                os << pending.uid << ' ' << pending.request.type << '\n';
-                put_f64(os, pending.request.arrival);
-                put_f64(os, pending.request.relative_deadline);
-                put_f64(os, pending.wake);
-            }
+            for (const PendingArrival& pending : backlog)
+                os << pending.uid << ' ' << pending.request.type << ' ' << pending.request.arrival
+                   << ' ' << pending.request.relative_deadline << ' ' << pending.wake << '\n';
             engine.save_stream(os);
             os << "predictor " << (online != nullptr ? "online" : "none") << '\n';
             if (online != nullptr) online->save(os);
@@ -555,7 +548,7 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
 
         const std::optional<Request> request = source.next();
         if (!request.has_value()) break;
-        if (config.max_sim_time > 0.0 && request->arrival > config.max_sim_time) break;
+        if (config.max_sim_time > 0 && request->arrival > config.max_sim_time) break;
 
         advance_to(request->arrival);
 

@@ -58,7 +58,7 @@ struct ServeConfig {
     // --- overload protection ---
     /// Simulation-time cost the admission decider spends per request; the
     /// k-th queued request wakes at max(decider_free, arrival) + cost.
-    double decision_cost = 0.0;
+    Time decision_cost = 0;
     /// Backlog bound; an arrival finding this many queued is shed.  0 =
     /// unbounded (never sheds).
     std::size_t max_pending = 0;
@@ -71,16 +71,16 @@ struct ServeConfig {
     /// (decide_batch's contract); > 0 trades per-request decision latency
     /// for amortised activation cost.  Negative (default) = off: requests
     /// are decided one at a time exactly as before.
-    Time batch_window = -1.0;
+    Time batch_window = -1;
 
     // --- run bounds ---
     std::uint64_t max_arrivals = 0; ///< stop after this many consumed; 0 = source-driven
-    Time max_sim_time = 0.0;        ///< stop at the first arrival past this; 0 = unbounded
+    Time max_sim_time = 0;          ///< stop at the first arrival past this; 0 = unbounded
 
     // --- injected faults (chunked) ---
     FaultParams faults;         ///< all-zero = fault-free; permanent_prob must be 0
     std::uint64_t fault_seed = 0;
-    Time fault_chunk = 10000.0; ///< chunk length in simulation time
+    Time fault_chunk = ms(10'000); ///< chunk length in simulation time (10 s)
 
     // --- checkpointing ---
     std::string checkpoint_path;        ///< empty = disabled
@@ -93,7 +93,7 @@ struct ServeConfig {
     MonitorLimits limits;
 
     // --- rolling window stats ---
-    Time window = 0.0;    ///< emit one stats line per window of sim time; 0 = off
+    Time window = 0;      ///< emit one stats line per window of sim time; 0 = off
     std::ostream* window_out = nullptr; ///< default std::cerr
 
     // --- live telemetry (DESIGN.md §14) ---

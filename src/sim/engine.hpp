@@ -118,7 +118,8 @@ public:
     [[nodiscard]] TraceResult finish_stream();
 
     /// Checkpoint the streaming state (clock, active set, health mask,
-    /// accumulated results) as versioned text with bit-exact doubles.
+    /// accumulated results) as versioned text: integer ticks and bit-exact
+    /// doubles.  A snapshot of another version is refused on restore.
     /// Drains events at exactly the current clock first, so the checkpoint
     /// is a clean cut: everything <= clock happened, everything later is
     /// re-derived on restore.  Predictor and arrival-source state are
@@ -177,12 +178,17 @@ private:
     template <typename Due>
     void drain_events(Due due);
     void complete(Time time, TaskUid uid);
+    void count_arrival(const Request& request, TaskUid uid);
     void charge_energy(double energy);
     void advance(Time to);
     [[nodiscard]] Time schedule_horizon() const;
     [[nodiscard]] Time wake_up(Time wake);
     void dispatch(const Event& event);
     void process_request(std::size_t index, Time decision_time);
+    [[nodiscard]] std::vector<PredictedTask> predict(std::size_t index, Time now);
+    [[nodiscard]] ArrivalContext context_for(const ActiveTask& candidate,
+                                             std::vector<PredictedTask> predicted,
+                                             Time now) const;
     void decide_on(const Request& request, TaskUid uid, std::size_t index, Time decision_time);
     void reject_doomed(TaskUid uid, Time decision_time);
     void commit_decision(const ArrivalContext& context, const Decision& decision,
@@ -195,10 +201,10 @@ private:
     void handle_fault(Time event_time, bool onset, std::size_t fault_index);
     void rescue_activation(Time now);
     void apply(const Decision& decision, const ActiveTask& candidate, Time now);
+    bool move(ActiveTask& task, ResourceId to, Time now);
     void plan_current(Time now);
     void abort_doomed(Time now);
-    [[nodiscard]] Time actual_completion(const ActiveTask& task, double actual,
-                                         Time planned) const;
+    [[nodiscard]] Time actual_completion(std::size_t k, Time planned) const;
     void rebuild(Time now);
     [[nodiscard]] TraceResult finalize();
 
@@ -224,7 +230,8 @@ private:
     bool streaming_ = false;
 
     std::vector<ActiveTask> active_;
-    /// Hidden actual work per task (fraction of WCET), index-aligned with
+    /// Hidden actual work per task (fraction of WCET, applied to the WCET
+    /// on the task's current resource and rounded up), index-aligned with
     /// active_ and kept in lockstep by retire_if; the RM never sees it.
     std::vector<double> actual_work_;
     /// Current resource health (all nominal unless faults are injected).
@@ -239,18 +246,18 @@ private:
     /// for heap events scheduled at sequences completion_seq_,
     /// completion_seq_ + 1, ...; a rebuild replaces it wholesale.
     struct PendingCompletion {
-        Time time = 0.0;
+        Time time = 0;
         TaskUid uid = 0;
     };
     std::vector<PendingCompletion> completions_;
     std::size_t next_completion_ = 0;
     std::uint64_t completion_seq_ = 0;
-    Time clock_ = 0.0;
+    Time clock_ = 0;
     TraceResult result_;
     Rng execution_rng_;
     /// Periodic-activation state (batch mode only).
     std::vector<std::size_t> pending_;
-    Time last_activation_scheduled_ = -1.0;
+    Time last_activation_scheduled_ = -1;
 
     /// Coalesced-arrival state (options.batch_arrivals / the streaming
     /// batch entry point).  Member buffers: batches run on the hot path and

@@ -19,7 +19,7 @@ namespace rmwp {
 
 /// Event payload: a small POD the simulation interprets.
 struct Event {
-    Time time = 0.0;
+    Time time = 0;
     std::uint32_t kind = 0;     ///< simulation-defined discriminator
     std::uint64_t payload = 0;  ///< simulation-defined data (e.g. a task uid)
 };
@@ -77,7 +77,7 @@ private:
     /// Dispatch horizon: no event may be scheduled before it, and
     /// dispatches are monotone in time (the tie-break keeps equal times in
     /// FIFO order).
-    Time last_popped_time_ = -std::numeric_limits<Time>::infinity();
+    Time last_popped_time_ = std::numeric_limits<Time>::min();
 };
 
 } // namespace rmwp

@@ -91,7 +91,7 @@ struct SimOptions {
     /// arrived since the previous activation, in arrival order: queueing
     /// delay consumes deadline slack, but any per-activation prediction
     /// overhead (Fig 5) is paid once per batch instead of once per request.
-    Time activation_period = 0.0;
+    Time activation_period = 0;
     /// Coalesce simultaneous arrivals into one RM activation (the batched
     /// admission hot path, DESIGN.md §13).  Consecutive arrival events at
     /// the same instant are decided by a single rm_.decide_batch call —

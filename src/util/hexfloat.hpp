@@ -1,7 +1,7 @@
-// Bit-exact double serialization for text checkpoints (DESIGN.md §11).
+// Bit-exact number serialization for text checkpoints (DESIGN.md §11).
 //
 // Doubles travel as C99 hex-floats ("%a"): exact round trip, locale
-// independent, and still human-inspectable.  operator>> cannot parse
+// independent, and still human-inspectable; integer ticks as decimal.  operator>> cannot parse
 // hex-floats portably, so reading goes token -> strtod.  Shared by the
 // online predictor's model checkpoint, the SimEngine stream checkpoint,
 // and the serve-mode snapshot, so all three agree on the wire format.
@@ -37,6 +37,14 @@ inline double get_f64(std::istream& is, const char* context) {
 inline std::uint64_t get_u64(std::istream& is, const char* context) {
     std::uint64_t value = 0;
     if (!(is >> value)) throw std::runtime_error(std::string(context) + ": truncated stream");
+    return value;
+}
+
+/// A non-negative tick count (simulated time or remaining work).
+inline std::int64_t get_ticks(std::istream& is, const char* context) {
+    std::int64_t value = 0;
+    if (!(is >> value)) throw std::runtime_error(std::string(context) + ": truncated stream");
+    if (value < 0) throw std::runtime_error(std::string(context) + ": negative time");
     return value;
 }
 

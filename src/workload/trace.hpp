@@ -6,18 +6,16 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/time.hpp"
 #include "workload/task_type.hpp"
 
 namespace rmwp {
 
-/// Simulation time; all times in this repository are in milliseconds.
-using Time = double;
-
 /// One incoming request req_j.
 struct Request {
-    Time arrival = 0.0;        ///< absolute arrival time s_j
-    TaskTypeId type = 0;       ///< which task the request triggers
-    Time relative_deadline = 0.0; ///< d_j, relative to arrival
+    Time arrival = 0;           ///< absolute arrival time s_j
+    TaskTypeId type = 0;        ///< which task the request triggers
+    Time relative_deadline = 0; ///< d_j, relative to arrival
 
     [[nodiscard]] Time absolute_deadline() const noexcept { return arrival + relative_deadline; }
 };
@@ -33,7 +31,7 @@ public:
     [[nodiscard]] const Request& request(std::size_t index) const;
     [[nodiscard]] const std::vector<Request>& requests() const noexcept { return requests_; }
 
-    /// Mean of the interarrival gaps.  Requires size() >= 2.
+    /// Mean of the interarrival gaps in ticks.  Requires size() >= 2.
     [[nodiscard]] double mean_interarrival() const;
 
     /// Latest absolute deadline in the trace; 0 for an empty trace.

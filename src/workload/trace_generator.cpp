@@ -55,7 +55,7 @@ Trace generate_trace(const Catalog& catalog, const TraceGenParams& params, Rng& 
     bool burst_phase =
         params.arrival_model == ArrivalModel::two_phase ? rng.bernoulli(0.5) : false;
     TaskTypeId previous_type = 0;
-    Time arrival = 0.0;
+    double arrival_ms = 0.0;
     for (std::size_t j = 0; j < params.length; ++j) {
         if (j > 0) {
             double mean = params.interarrival_mean;
@@ -65,7 +65,7 @@ Trace generate_trace(const Catalog& catalog, const TraceGenParams& params, Rng& 
             }
             // Gaps must stay positive; the floor is far below the mean, so
             // the truncation bias is negligible for the paper's CV of 1/3.
-            arrival += rng.gaussian_above(mean, mean * cv, mean * 0.01);
+            arrival_ms += rng.gaussian_above(mean, mean * cv, mean * 0.01);
         }
 
         TaskTypeId type_id;
@@ -80,11 +80,12 @@ Trace generate_trace(const Catalog& catalog, const TraceGenParams& params, Rng& 
         // RWCET: the WCET on a randomly selected executable resource.
         const auto& executable = type.executable_resources();
         const ResourceId picked = executable[rng.index(executable.size())];
-        const double rwcet = type.wcet(picked);
+        const Time rwcet = type.wcet(picked);
         const double coefficient =
             rng.uniform(params.deadline_coefficient_min(), params.deadline_coefficient_max());
 
-        requests.push_back(Request{arrival, type_id, rwcet * coefficient});
+        requests.push_back(Request{to_ticks(arrival_ms, TickRounding::nearest), type_id,
+                                   scale_down(rwcet, coefficient)});
     }
 
     return Trace(std::move(requests));

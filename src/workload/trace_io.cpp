@@ -32,6 +32,34 @@ double parse_value(const std::string& text) {
     return value;
 }
 
+/// Parse one trace CSV row into `out`.  Returns the defect, or nullptr when
+/// the row is well-formed: both times finite, non-negative (the deadline
+/// positive) and within the tick range, arrival + deadline included.
+const char* parse_request(const std::string& line, Request& out) {
+    const auto fields = split_csv_line(line);
+    if (fields.size() != 3) return "expected 3 fields";
+    double arrival = 0.0;
+    double deadline = 0.0;
+    try {
+        arrival = parse_value(fields[0]);
+        out.type = static_cast<TaskTypeId>(std::stoull(fields[1]));
+        deadline = parse_value(fields[2]);
+    } catch (const std::exception&) {
+        return "unparseable field";
+    }
+    if (!representable_ms(arrival) || arrival < 0.0)
+        return "arrival must be finite and non-negative";
+    if (!representable_ms(deadline) || deadline <= 0.0)
+        return "relative_deadline must be finite and positive";
+    out.arrival = to_ticks(arrival, TickRounding::nearest);
+    out.relative_deadline = to_ticks(deadline, TickRounding::down);
+    if (out.relative_deadline <= 0) return "relative_deadline must be at least 1e-6 ms";
+    Time end = 0;
+    if (__builtin_add_overflow(out.arrival, out.relative_deadline, &end))
+        return "arrival + relative_deadline exceeds the time range (~9.2e12 ms)";
+    return nullptr;
+}
+
 std::string render_value(double value) {
     if (std::isinf(value)) return "inf";
     std::ostringstream os;
@@ -57,53 +85,26 @@ std::ofstream open_output(const std::string& path) {
 void write_trace_csv(std::ostream& os, const Trace& trace) {
     os << "arrival,type,relative_deadline\n";
     for (const Request& r : trace) {
-        os << render_value(r.arrival) << ',' << r.type << ','
-           << render_value(r.relative_deadline) << '\n';
+        os << render_value(to_ms(r.arrival)) << ',' << r.type << ','
+           << render_value(to_ms(r.relative_deadline)) << '\n';
     }
 }
 
 Trace read_trace_csv(std::istream& is) {
-    const auto fail = [](std::size_t line_number, const std::string& what,
-                         const std::string& line) {
-        throw std::runtime_error("trace CSV line " + std::to_string(line_number) + ": " + what +
-                                 " (line: \"" + line + "\")");
-    };
-
-    std::string line;
-    if (!std::getline(is, line) || line != "arrival,type,relative_deadline")
-        throw std::runtime_error(
-            "trace CSV: missing or wrong header (expected \"arrival,type,relative_deadline\")");
-
+    // The streaming reader's checks, with every defect fatal instead of
+    // skipped.
+    TraceCsvStream stream(is, [](const std::string& message) {
+        throw std::runtime_error(message);
+    });
     std::vector<Request> requests;
-    std::size_t line_number = 1;
-    while (std::getline(is, line)) {
-        ++line_number;
-        if (line.empty()) continue;
-        const auto fields = split_csv_line(line);
-        if (fields.size() != 3) fail(line_number, "expected 3 fields", line);
-        Request r;
-        try {
-            r.arrival = parse_value(fields[0]);
-            r.type = static_cast<TaskTypeId>(std::stoull(fields[1]));
-            r.relative_deadline = parse_value(fields[2]);
-        } catch (const std::exception&) {
-            fail(line_number, "unparseable field", line);
-        }
-        if (!std::isfinite(r.arrival) || r.arrival < 0.0)
-            fail(line_number, "arrival must be finite and non-negative", line);
-        if (!std::isfinite(r.relative_deadline) || r.relative_deadline <= 0.0)
-            fail(line_number, "relative_deadline must be finite and positive", line);
-        if (!requests.empty() && r.arrival < requests.back().arrival)
-            fail(line_number, "arrivals must be non-decreasing", line);
-        requests.push_back(r);
-    }
+    while (const std::optional<Request> request = stream.next()) requests.push_back(*request);
     return Trace(std::move(requests));
 }
 
 TraceCsvStream::TraceCsvStream(std::istream& is, std::function<void(const std::string&)> warn)
     : is_(is), warn_(std::move(warn)) {
     if (!warn_)
-        warn_ = [](const std::string& message) { std::cerr << message << '\n'; };
+        warn_ = [](const std::string& message) { std::cerr << message << " — skipped\n"; };
 }
 
 std::optional<Request> TraceCsvStream::next() {
@@ -118,33 +119,16 @@ std::optional<Request> TraceCsvStream::next() {
 
     const auto skip = [this](const std::string& what, const std::string& bad_line) {
         ++parse_errors_;
-        warn_("trace CSV line " + std::to_string(line_number_) + ": " + what + " — skipped (line: \"" +
+        warn_("trace CSV line " + std::to_string(line_number_) + ": " + what + " (line: \"" +
               bad_line + "\")");
     };
 
     while (std::getline(is_, line)) {
         ++line_number_;
         if (line.empty()) continue;
-        const auto fields = split_csv_line(line);
-        if (fields.size() != 3) {
-            skip("expected 3 fields", line);
-            continue;
-        }
         Request r;
-        try {
-            r.arrival = parse_value(fields[0]);
-            r.type = static_cast<TaskTypeId>(std::stoull(fields[1]));
-            r.relative_deadline = parse_value(fields[2]);
-        } catch (const std::exception&) {
-            skip("unparseable field", line);
-            continue;
-        }
-        if (!std::isfinite(r.arrival) || r.arrival < 0.0) {
-            skip("arrival must be finite and non-negative", line);
-            continue;
-        }
-        if (!std::isfinite(r.relative_deadline) || r.relative_deadline <= 0.0) {
-            skip("relative_deadline must be finite and positive", line);
+        if (const char* defect = parse_request(line, r)) {
+            skip(defect, line);
             continue;
         }
         if (have_last_arrival_ && r.arrival < last_arrival_) {
@@ -162,6 +146,11 @@ std::optional<Request> TraceCsvStream::next() {
 void validate_trace(const Trace& trace, const Catalog& catalog) {
     for (std::size_t j = 0; j < trace.size(); ++j) {
         const Request& r = trace.request(j);
+        Time end = 0;
+        if (r.arrival < 0 || r.relative_deadline <= 0 ||
+            __builtin_add_overflow(r.arrival, r.relative_deadline, &end))
+            throw std::runtime_error("trace request " + std::to_string(j) +
+                                     ": arrival + relative_deadline must lie in [0, ~9.2e12] ms");
         if (r.type >= catalog.size())
             throw std::runtime_error("trace request " + std::to_string(j) +
                                      " references unknown task type " + std::to_string(r.type) +
@@ -184,7 +173,8 @@ void write_catalog_csv(std::ostream& os, const Catalog& catalog) {
     os << "type,resource,wcet,energy\n";
     for (const TaskType& t : catalog) {
         for (std::size_t i = 0; i < t.resource_count(); ++i) {
-            os << t.id() << ',' << i << ',' << render_value(t.wcet(i)) << ','
+            const double wcet = t.executable_on(i) ? to_ms(t.wcet(i)) : kNotExecutable;
+            os << t.id() << ',' << i << ',' << render_value(wcet) << ','
                << render_value(t.energy(i)) << '\n';
         }
     }
@@ -194,7 +184,7 @@ void write_catalog_csv(std::ostream& os, const Catalog& catalog) {
             for (std::size_t to = 0; to < t.resource_count(); ++to) {
                 if (from == to) continue;
                 os << t.id() << ',' << from << ',' << to << ','
-                   << render_value(t.migration_time(from, to)) << ','
+                   << render_value(to_ms(t.migration_time(from, to))) << ','
                    << render_value(t.migration_energy(from, to)) << '\n';
             }
         }

@@ -21,9 +21,12 @@
 namespace rmwp {
 
 void write_trace_csv(std::ostream& os, const Trace& trace);
-/// Parse a trace, rejecting malformed input with a descriptive
-/// std::runtime_error: wrong header/field counts, unparseable numbers,
-/// negative or non-finite times, and non-monotone arrivals.
+/// Parse a trace (times in milliseconds, converted to ticks: arrivals to
+/// the nearest tick, relative deadlines down), rejecting malformed input
+/// with a descriptive std::runtime_error: wrong header/field counts,
+/// unparseable numbers, negative or non-finite times, times whose tick
+/// count overflows Time (arrival + relative deadline beyond ~9.2e12 ms),
+/// and non-monotone arrivals.
 [[nodiscard]] Trace read_trace_csv(std::istream& is);
 
 /// Check that every request's task type exists in the catalog; throws a
@@ -48,8 +51,9 @@ void write_trace_csv_file(const std::string& path, const Trace& trace);
 /// stream length.
 class TraceCsvStream {
 public:
-    /// `warn` receives one human-readable message per skipped line; the
-    /// default writes to stderr.  The header line is consumed (and checked)
+    /// `warn` receives one human-readable, line-numbered message per
+    /// skipped line; the default writes to stderr.  (read_trace_csv passes
+    /// one that throws, making every defect fatal.)  The header line is consumed (and checked)
     /// by the first next() call.
     explicit TraceCsvStream(std::istream& is,
                             std::function<void(const std::string&)> warn = {});
@@ -71,7 +75,7 @@ private:
     std::uint64_t parse_errors_ = 0;
     std::uint64_t delivered_ = 0;
     std::uint64_t line_number_ = 0;
-    Time last_arrival_ = 0.0;
+    Time last_arrival_ = 0;
     bool header_checked_ = false;
     bool have_last_arrival_ = false;
 };

@@ -65,12 +65,13 @@ void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 namespace rmwp {
 namespace {
 
-ActiveTask task_of(TaskUid uid, TaskTypeId type, Time arrival, Time rel_deadline) {
+ActiveTask task_of(TaskUid uid, TaskTypeId type, double arrival_ms,
+                                 double rel_deadline_ms) {
     ActiveTask task;
     task.uid = uid;
     task.type = type;
-    task.arrival = arrival;
-    task.absolute_deadline = arrival + rel_deadline;
+    task.arrival = ms(arrival_ms);
+    task.absolute_deadline = ms(arrival_ms + rel_deadline_ms);
     return task;
 }
 
@@ -91,12 +92,12 @@ TEST(AllocCount, SteadyStateDecideAllocatesOnlyTheDecisionOutput) {
     active.push_back(task_of(0, 0, 0.0, 60.0));
     active.push_back(task_of(1, 1, 0.0, 80.0));
     ArrivalContext context;
-    context.now = 5.0;
+    context.now = ms(5.0);
     context.platform = &platform;
     context.catalog = &catalog;
     context.active = active;
     context.candidate = task_of(100, 2, 5.0, 50.0);
-    context.predicted = {PredictedTask{3, 9.0, 40.0}};
+    context.predicted = {PredictedTask{3, ms(9.0), ms(40.0)}};
 
     HeuristicRM rm;
     // Warm the thread-local arenas (PlanScratch, PlanPool, EDF buffers):
@@ -141,7 +142,7 @@ TEST(AllocCount, BatchDecisionAmortisesSetupAllocations) {
         items.push_back({task_of(100 + m, (m % 4) + 1, 5.0, 50.0 + 2.0 * static_cast<double>(m)),
                          {}});
     BatchArrivalContext batch;
-    batch.now = 5.0;
+    batch.now = ms(5.0);
     batch.platform = &platform;
     batch.catalog = &catalog;
     batch.active = active;
@@ -204,12 +205,12 @@ TEST(AllocCount, ShardedSteadyStateKeepsTheOneAllocationBudget) {
     for (ActiveTask& task : active)
         task.resource = catalog.type(task.type).executable_resources().front();
     ArrivalContext context;
-    context.now = 5.0;
+    context.now = ms(5.0);
     context.platform = &platform;
     context.catalog = &catalog;
     context.active = active;
     context.candidate = task_of(100, 3, 5.0, 80.0);
-    context.predicted = {PredictedTask{4, 9.0, 60.0}};
+    context.predicted = {PredictedTask{4, ms(9.0), ms(60.0)}};
 
     HeuristicRM rm;
     rm.set_shard_config({4, 1});
@@ -259,7 +260,7 @@ TEST(AllocCount, ShardedBatchOfEightAcrossFourShardsStaysPinned) {
                                  90.0 + 4.0 * static_cast<double>(m)),
                          {}});
     BatchArrivalContext batch;
-    batch.now = 5.0;
+    batch.now = ms(5.0);
     batch.platform = &platform;
     batch.catalog = &catalog;
     batch.active = active;
@@ -316,12 +317,12 @@ TEST(AllocCount, SteadyStateRebuildIsAllocationFree) {
 
     // One round: the same six arrivals, shifted by a period long enough
     // for the round to drain completely.
-    constexpr Time kPeriod = 1024.0;
+    constexpr Time kPeriod = ms(1024);
     TaskUid uid = 0;
     const auto feed_round = [&](int round) {
         for (std::size_t k = 0; k < 6; ++k) {
-            const Time arrival = kPeriod * round + 0.5 * static_cast<double>(k);
-            const Request request{arrival, static_cast<TaskTypeId>(k % 8), 400.0};
+            const Time arrival = kPeriod * round + ms(0.5 * static_cast<double>(k));
+            const Request request{arrival, static_cast<TaskTypeId>(k % 8), ms(400)};
             (void)engine.stream_arrival(request, uid++, arrival);
         }
     };

@@ -53,23 +53,24 @@ struct MiniWorld {
     }
 };
 
-[[nodiscard]] ActiveTask make_task(TaskUid uid, TaskTypeId type, Time arrival, Time deadline) {
+[[nodiscard]] ActiveTask make_task(TaskUid uid, TaskTypeId type, double arrival_ms,
+                                   double deadline_ms) {
     ActiveTask task;
     task.uid = uid;
     task.type = type;
-    task.arrival = arrival;
-    task.absolute_deadline = deadline;
+    task.arrival = ms(arrival_ms);
+    task.absolute_deadline = ms(deadline_ms);
     return task;
 }
 
-[[nodiscard]] ScheduleItem make_item(TaskUid uid, ResourceId resource, Time release,
-                                     Time deadline, double duration) {
+[[nodiscard]] ScheduleItem make_item(TaskUid uid, ResourceId resource, double release_ms,
+                                     double deadline_ms, double duration_ms) {
     ScheduleItem item;
     item.uid = uid;
     item.resource = resource;
-    item.release = release;
-    item.abs_deadline = deadline;
-    item.duration = duration;
+    item.release = ms(release_ms);
+    item.abs_deadline = ms(deadline_ms);
+    item.duration = ms(duration_ms);
     return item;
 }
 
@@ -107,7 +108,7 @@ TEST(Auditor, OverlappingReservationsDiagnosed) {
     };
     for (ScheduleItem& item : items) item.reserved = true;
     const WindowSchedule schedule = build_window_schedule(world.platform, 0.0, items);
-    const AuditReport report = world.auditor.audit_window(world.platform, 0.0, items, schedule);
+    const AuditReport report = world.auditor.audit_window(world.platform, 0, items, schedule);
     EXPECT_TRUE(report.has(AuditCode::reservation_overlap)) << report.summary();
 }
 
@@ -135,7 +136,7 @@ TEST(Auditor, OverfullWindowDiagnosed) {
         make_item(3, 0, 0.0, 10.0, 8.0),
     };
     const WindowSchedule schedule = build_window_schedule(world.platform, 0.0, items);
-    const AuditReport report = world.auditor.audit_window(world.platform, 0.0, items, schedule);
+    const AuditReport report = world.auditor.audit_window(world.platform, 0, items, schedule);
     EXPECT_TRUE(report.has(AuditCode::demand_overflow)) << report.summary();
 }
 
@@ -144,19 +145,19 @@ TEST(Auditor, MiscountedMigrationDiagnosed) {
     ActiveTask task = make_task(7, 0, 0.0, 60.0);
     task.resource = 0;
     task.started = true;
-    task.remaining_fraction = 0.5;
+    task.remaining = ms(4); // half of the 8 ms WCET on CPU1
 
     // Relocating CPU1 -> CPU2: 0.5 * 12 work + 1.0 migration = 7.0 ms.
     // Charging the migration twice yields 8.0.
     const std::vector<ActiveTask> active{task};
     std::vector<ScheduleItem> items{make_item(7, 1, 10.0, 60.0, 8.0)};
     const AuditReport report =
-        world.auditor.audit_items(world.platform, world.catalog, 10.0, active, items);
+        world.auditor.audit_items(world.platform, world.catalog, ms(10.0), active, items);
     EXPECT_TRUE(report.has(AuditCode::migration_miscount)) << report.summary();
 
     // Charged exactly once: clean.
-    items[0].duration = 7.0;
-    EXPECT_TRUE(world.auditor.audit_items(world.platform, world.catalog, 10.0, active, items)
+    items[0].duration = ms(7.0);
+    EXPECT_TRUE(world.auditor.audit_items(world.platform, world.catalog, ms(10.0), active, items)
                     .ok());
 }
 
@@ -172,12 +173,12 @@ TEST(Auditor, ThrottleIgnoredDiagnosed) {
     // Planned with the nominal 8 ms WCET; the throttled core needs 12.
     std::vector<ScheduleItem> items{make_item(3, 0, 0.0, 60.0, 8.0)};
     const AuditReport report =
-        world.auditor.audit_items(world.platform, world.catalog, 0.0, active, items, &health);
+        world.auditor.audit_items(world.platform, world.catalog, 0, active, items, &health);
     EXPECT_TRUE(report.has(AuditCode::throttle_ignored)) << report.summary();
 
-    items[0].duration = 12.0;
+    items[0].duration = ms(12.0);
     EXPECT_TRUE(world.auditor
-                    .audit_items(world.platform, world.catalog, 0.0, active, items, &health)
+                    .audit_items(world.platform, world.catalog, 0, active, items, &health)
                     .ok());
 }
 
@@ -201,18 +202,18 @@ TEST(Auditor, EdfOrderViolationDiagnosed) {
         make_item(2, 0, 0.0, 20.0, 2.0),
     };
     WindowSchedule forged;
-    forged.start = 0.0;
+    forged.start = 0;
     forged.feasible = true;
     forged.per_resource.resize(world.platform.size());
-    forged.per_resource[0].segments = {Segment{2, 0.0, 2.0}, Segment{1, 2.0, 4.0}};
-    forged.completion = {{1, 4.0}, {2, 2.0}}; // sorted by uid
+    forged.per_resource[0].segments = {Segment{2, 0, ms(2)}, Segment{1, ms(2), ms(4)}};
+    forged.completion = {{1, ms(4)}, {2, ms(2)}}; // sorted by uid
 
-    const AuditReport report = world.auditor.audit_window(world.platform, 0.0, items, forged);
+    const AuditReport report = world.auditor.audit_window(world.platform, 0, items, forged);
     EXPECT_TRUE(report.has(AuditCode::edf_order)) << report.summary();
 
     // The honest EDF order is clean.
     const WindowSchedule honest = build_window_schedule(world.platform, 0.0, items);
-    EXPECT_TRUE(world.auditor.audit_window(world.platform, 0.0, items, honest).ok());
+    EXPECT_TRUE(world.auditor.audit_window(world.platform, 0, items, honest).ok());
 }
 
 TEST(Auditor, RescuePartitionViolationDiagnosed) {
@@ -222,7 +223,7 @@ TEST(Auditor, RescuePartitionViolationDiagnosed) {
     const std::vector<ActiveTask> active{task};
 
     RescueContext context;
-    context.now = 5.0;
+    context.now = ms(5.0);
     context.platform = &world.platform;
     context.catalog = &world.catalog;
     context.active = active;
@@ -332,8 +333,8 @@ TEST(Auditor, DifferentialFlagsImpossibleAdmit) {
 
 TEST(EventQueueContract, DispatchIsMonotoneAndPastSchedulingThrows) {
     EventQueue queue;
-    queue.schedule(5.0, 0, 1);
-    queue.schedule(5.0, 1, 2);
+    queue.schedule(ms(5.0), 0, 1);
+    queue.schedule(ms(5.0), 1, 2);
     const Event first = queue.pop();
     const Event second = queue.pop();
     // Equal timestamps dispatch in insertion order (fault onset vs. arrival
@@ -341,21 +342,20 @@ TEST(EventQueueContract, DispatchIsMonotoneAndPastSchedulingThrows) {
     EXPECT_EQ(first.kind, 0u);
     EXPECT_EQ(second.kind, 1u);
     // The dispatched past is sealed.
-    EXPECT_THROW(queue.schedule(4.0, 0, 3), precondition_error);
-    EXPECT_THROW(queue.schedule(std::nan(""), 0, 4), precondition_error);
-    queue.schedule(5.0, 2, 5); // the present is still fine
+    EXPECT_THROW(queue.schedule(ms(4.0), 0, 3), precondition_error);
+    queue.schedule(ms(5.0), 2, 5); // the present is still fine
     EXPECT_EQ(queue.pop().kind, 2u);
 }
 
 TEST(EventQueueContract, FaultOnsetCoincidingWithArrivalIsDeterministic) {
     const MiniWorld world;
     // An arrival at exactly t = 30 and a GPU outage onset at exactly t = 30.
-    const Trace trace({Request{0.0, 0, 40.0}, Request{30.0, 0, 40.0}});
+    const Trace trace({Request{0, 0, ms(40.0)}, Request{ms(30.0), 0, ms(40.0)}});
     std::vector<FaultEvent> events(1);
     events[0].kind = FaultKind::outage;
     events[0].resource = 2;
-    events[0].start = 30.0;
-    events[0].end = 50.0;
+    events[0].start = ms(30.0);
+    events[0].end = ms(50.0);
     const FaultSchedule faults{std::move(events)};
 
     const auto run = [&] {

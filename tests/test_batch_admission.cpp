@@ -46,12 +46,13 @@ struct RandomWorld {
     std::vector<ActiveTask> active;
     ArrivalContext context;
 
-    static ActiveTask task_of(TaskUid uid, TaskTypeId type, Time arrival, Time rel_deadline) {
+    static ActiveTask task_of(TaskUid uid, TaskTypeId type, double arrival_ms,
+                                 double rel_deadline_ms) {
         ActiveTask task;
         task.uid = uid;
         task.type = type;
-        task.arrival = arrival;
-        task.absolute_deadline = arrival + rel_deadline;
+        task.arrival = ms(arrival_ms);
+        task.absolute_deadline = ms(arrival_ms + rel_deadline_ms);
         return task;
     }
 
@@ -66,25 +67,25 @@ struct RandomWorld {
         for (std::size_t j = 0; j < task_count; ++j) {
             ActiveTask task = task_of(j, rng.index(catalog.size()), 0.0, 0.0);
             const TaskType& type = catalog.type(task.type);
-            task.absolute_deadline = rng.uniform(10.0, 120.0);
+            task.absolute_deadline = ms(rng.uniform(10.0, 120.0));
             task.resource =
                 type.executable_resources()[rng.index(type.executable_resources().size())];
             if (rng.bernoulli(0.5)) {
                 task.started = true;
-                task.remaining_fraction = rng.uniform(0.2, 1.0);
+                task.remaining = scale_up(type.wcet(task.resource), rng.uniform(0.2, 1.0));
                 if (!platform.resource(task.resource).preemptable()) task.pinned = true;
             }
             active.push_back(task);
         }
-        context.now = 5.0;
+        context.now = ms(5.0);
         context.platform = &platform;
         context.catalog = &catalog;
         context.active = active;
         context.candidate = task_of(100, rng.index(catalog.size()), 5.0, rng.uniform(8.0, 90.0));
         if (rng.bernoulli(0.7))
             context.predicted = {PredictedTask{rng.index(catalog.size()),
-                                               5.0 + rng.uniform(0.0, 10.0),
-                                               rng.uniform(6.0, 60.0)}};
+                                               ms(5.0 + rng.uniform(0.0, 10.0)),
+                                               ms(rng.uniform(6.0, 60.0))}};
     }
 
     /// A follow-up candidate arriving at the same instant as the first.
@@ -93,8 +94,8 @@ struct RandomWorld {
         item.candidate = task_of(uid, rng.index(catalog.size()), 5.0, rng.uniform(8.0, 90.0));
         if (rng.bernoulli(0.6))
             item.predicted = {PredictedTask{rng.index(catalog.size()),
-                                            5.0 + rng.uniform(0.0, 10.0),
-                                            rng.uniform(6.0, 60.0)}};
+                                            ms(5.0 + rng.uniform(0.0, 10.0)),
+                                            ms(rng.uniform(6.0, 60.0))}};
         return item;
     }
 };
@@ -336,7 +337,7 @@ TEST(ServeBatch, BatchWindowZeroMatchesUnbatchedUnderFaultsAndPrediction) {
         config.faults.outage_rate = 0.3;
         config.faults.throttle_rate = 0.2;
         config.fault_seed = 17;
-        config.fault_chunk = 500.0;
+        config.fault_chunk = ms(500.0);
         config.sim.execution_seed = 21;
         config.sim.execution_time_factor_min = 0.7;
         return run_serve(world.platform, world.catalog, rm, predictor, nullptr, source, config);

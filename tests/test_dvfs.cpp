@@ -57,15 +57,16 @@ TEST(DvfsCatalog, LevelsDeriveFromNominalDraw) {
     const Catalog catalog = generate_catalog(platform, CatalogParams{.type_count = 40}, rng);
     for (const TaskType& type : catalog) {
         // big core: levels 1.0 / 0.8 / 0.5.
-        EXPECT_NEAR(type.wcet(1), type.wcet(0) / 0.8, 1e-9);
-        EXPECT_NEAR(type.wcet(2), type.wcet(0) / 0.5, 1e-9);
+        // Each level's WCET rounds up to a whole tick on its own.
+        EXPECT_NEAR(static_cast<double>(type.wcet(1)), static_cast<double>(type.wcet(0)) / 0.8, 1.0);
+        EXPECT_NEAR(static_cast<double>(type.wcet(2)), static_cast<double>(type.wcet(0)) / 0.5, 1.0);
         EXPECT_NEAR(type.energy(1), type.energy(0) * 0.64, 1e-9);
         EXPECT_NEAR(type.energy(2), type.energy(0) * 0.25, 1e-9);
         // Level switches on one core move no state.
-        EXPECT_DOUBLE_EQ(type.migration_time(0, 2), 0.0);
+        EXPECT_EQ(type.migration_time(0, 2), 0);
         EXPECT_DOUBLE_EQ(type.migration_energy(1, 0), 0.0);
         // Real migrations still cost.
-        EXPECT_GT(type.migration_time(0, 3), 0.0);
+        EXPECT_GT(type.migration_time(0, 3), 0);
         EXPECT_GT(type.migration_energy(2, 5), 0.0);
     }
 }
@@ -98,23 +99,23 @@ TEST(DvfsSchedule, LevelsOfOneCoreSerialise) {
     ScheduleItem a;
     a.uid = 1;
     a.resource = 0; // big@1
-    a.abs_deadline = 100.0;
-    a.duration = 4.0;
+    a.abs_deadline = ms(100.0);
+    a.duration = ms(4.0);
     ScheduleItem b;
     b.uid = 2;
     b.resource = 2; // big@0.5
-    b.abs_deadline = 50.0;
-    b.duration = 6.0;
+    b.abs_deadline = ms(50.0);
+    b.duration = ms(6.0);
 
     const WindowSchedule schedule =
-        build_window_schedule(platform, 0.0, std::vector{a, b});
+        build_window_schedule(platform, 0, std::vector{a, b});
     EXPECT_TRUE(schedule.feasible);
     // Both run on the physical timeline of resource 0, EDF order: b first.
     ASSERT_EQ(schedule.per_resource[0].segments.size(), 2u);
     EXPECT_TRUE(schedule.per_resource[1].segments.empty());
     EXPECT_TRUE(schedule.per_resource[2].segments.empty());
-    EXPECT_DOUBLE_EQ(*schedule.completion_of(2), 6.0);
-    EXPECT_DOUBLE_EQ(*schedule.completion_of(1), 10.0);
+    EXPECT_EQ(*schedule.completion_of(2), ms(6));
+    EXPECT_EQ(*schedule.completion_of(1), ms(10));
 }
 
 struct DvfsWorld {
@@ -132,12 +133,12 @@ struct DvfsWorld {
 TEST(DvfsRm, LooseDeadlinePicksSlowestLevel) {
     const DvfsWorld world;
     ArrivalContext context;
-    context.now = 0.0;
+    context.now = 0;
     context.platform = &world.platform;
     context.catalog = &world.catalog;
     context.candidate.uid = 1;
     context.candidate.type = 0;
-    context.candidate.absolute_deadline = 10000.0; // no time pressure at all
+    context.candidate.absolute_deadline = ms(10000.0); // no time pressure at all
 
     // With no deadline pressure the cheapest option wins.  The cheapest CPU
     // point is the lowest-frequency level of the cheaper core; the GPU may
@@ -171,12 +172,12 @@ TEST(DvfsRm, TightDeadlineForcesFasterLevel) {
     const Catalog catalog(std::move(types));
 
     ArrivalContext context;
-    context.now = 0.0;
+    context.now = 0;
     context.platform = &platform;
     context.catalog = &catalog;
     context.candidate.uid = 1;
     context.candidate.type = 0;
-    context.candidate.absolute_deadline = 44.0;
+    context.candidate.absolute_deadline = ms(44.0);
 
     HeuristicRM heuristic;
     ExactRM exact;
@@ -188,7 +189,7 @@ TEST(DvfsRm, TightDeadlineForcesFasterLevel) {
 
     // Loosening the deadline to 90 opens big@0.5 (80 <= 90, 3.75 J): the
     // slow level becomes the optimum.
-    context.candidate.absolute_deadline = 90.0;
+    context.candidate.absolute_deadline = ms(90.0);
     for (ResourceManager* rm : std::initializer_list<ResourceManager*>{&heuristic, &exact}) {
         const Decision decision = rm->decide(context);
         ASSERT_TRUE(decision.admitted);
@@ -289,12 +290,12 @@ TEST(DvfsExact, ExactNeverCostsMoreThanHeuristic) {
     Rng rng(88);
     for (int round = 0; round < 25; ++round) {
         ArrivalContext context;
-        context.now = 0.0;
+        context.now = 0;
         context.platform = &world.platform;
         context.catalog = &world.catalog;
         context.candidate.uid = 1;
         context.candidate.type = rng.index(world.catalog.size());
-        context.candidate.absolute_deadline = rng.uniform(30.0, 400.0);
+        context.candidate.absolute_deadline = ms(rng.uniform(30.0, 400.0));
 
         const PlanInstance instance = PlanInstance::build(context, 0);
         const auto heuristic = HeuristicRM::map_tasks(instance);

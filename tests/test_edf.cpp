@@ -23,8 +23,8 @@ namespace {
 const Resource kCpu(0, ResourceKind::cpu, "CPU");
 const Resource kGpu(1, ResourceKind::gpu, "GPU");
 
-ScheduleItem item(TaskUid uid, double duration, Time deadline, Time release = 0.0,
-                  bool pinned = false) {
+/// An item on resource 0; times in ticks.
+ScheduleItem item(TaskUid uid, Time duration, Time deadline, Time release = 0, bool pinned = false) {
     ScheduleItem it;
     it.uid = uid;
     it.resource = 0;
@@ -41,7 +41,7 @@ Time completion_at(const std::vector<TaskCompletion>& completion, TaskUid uid) {
                                  [uid](const TaskCompletion& entry) { return entry.uid == uid; });
     if (it == completion.end()) {
         ADD_FAILURE() << "task " << uid << " has no completion";
-        return -1.0;
+        return -1;
     }
     return it->time;
 }
@@ -50,68 +50,68 @@ Time completion_at(const std::vector<TaskCompletion>& completion, TaskUid uid) {
 void expect_well_formed(const ResourceTimeline& timeline, Time now) {
     Time previous_end = now;
     for (const Segment& segment : timeline.segments) {
-        EXPECT_GE(segment.start, previous_end - 1e-9);
+        EXPECT_GE(segment.start, previous_end);
         EXPECT_GT(segment.end, segment.start);
         previous_end = segment.end;
     }
 }
 
 TEST(Edf, SingleTaskRunsImmediately) {
-    const std::vector<ScheduleItem> items{item(1, 5.0, 10.0)};
+    const std::vector<ScheduleItem> items{item(1, ms(5.0), ms(10.0))};
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const auto result = schedule_resource(kCpu, 0, items, &completion);
     EXPECT_TRUE(result.feasible);
     ASSERT_EQ(result.timeline.segments.size(), 1u);
-    EXPECT_DOUBLE_EQ(result.timeline.segments[0].start, 0.0);
-    EXPECT_DOUBLE_EQ(result.timeline.segments[0].end, 5.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 5.0);
+    EXPECT_EQ(result.timeline.segments[0].start, ms(0.0));
+    EXPECT_EQ(result.timeline.segments[0].end, ms(5.0));
+    EXPECT_EQ(completion_at(completion, 1), ms(5.0));
 }
 
 TEST(Edf, StartsAtNowNotZero) {
-    std::vector<ScheduleItem> items{item(1, 5.0, 110.0, 100.0)};
-    const auto result = schedule_resource(kCpu, 100.0, items);
+    std::vector<ScheduleItem> items{item(1, ms(5.0), ms(110.0), ms(100.0))};
+    const auto result = schedule_resource(kCpu, ms(100), items);
     ASSERT_EQ(result.timeline.segments.size(), 1u);
-    EXPECT_DOUBLE_EQ(result.timeline.segments[0].start, 100.0);
+    EXPECT_EQ(result.timeline.segments[0].start, ms(100.0));
 }
 
 TEST(Edf, OrdersByDeadline) {
-    const std::vector<ScheduleItem> items{item(1, 4.0, 20.0), item(2, 3.0, 5.0),
-                                          item(3, 2.0, 12.0)};
+    const std::vector<ScheduleItem> items{item(1, ms(4.0), ms(20.0)), item(2, ms(3.0), ms(5.0)),
+                                          item(3, ms(2.0), ms(12.0))};
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const auto result = schedule_resource(kCpu, 0, items, &completion);
     EXPECT_TRUE(result.feasible);
     // EDF: 2 (d=5), then 3 (d=12), then 1 (d=20).
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 3.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 3), 5.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 9.0);
-    expect_well_formed(result.timeline, 0.0);
+    EXPECT_EQ(completion_at(completion, 2), ms(3.0));
+    EXPECT_EQ(completion_at(completion, 3), ms(5.0));
+    EXPECT_EQ(completion_at(completion, 1), ms(9.0));
+    expect_well_formed(result.timeline, 0);
 }
 
 TEST(Edf, DetectsDeadlineViolation) {
-    const std::vector<ScheduleItem> items{item(1, 4.0, 4.0), item(2, 3.0, 5.0)};
-    const auto result = schedule_resource(kCpu, 0.0, items);
+    const std::vector<ScheduleItem> items{item(1, ms(4.0), ms(4.0)), item(2, ms(3.0), ms(5.0))};
+    const auto result = schedule_resource(kCpu, 0, items);
     // Task 1 finishes at 4 (ok), task 2 at 7 > 5: infeasible.
     EXPECT_FALSE(result.feasible);
-    EXPECT_FALSE(resource_feasible(kCpu, 0.0, items));
+    EXPECT_FALSE(resource_feasible(kCpu, 0, items));
 }
 
 TEST(Edf, ExactlyMeetingDeadlineIsFeasible) {
-    const std::vector<ScheduleItem> items{item(1, 4.0, 4.0), item(2, 3.0, 7.0)};
-    EXPECT_TRUE(resource_feasible(kCpu, 0.0, items));
+    const std::vector<ScheduleItem> items{item(1, ms(4.0), ms(4.0)), item(2, ms(3.0), ms(7.0))};
+    EXPECT_TRUE(resource_feasible(kCpu, 0, items));
 }
 
 TEST(Edf, DeadlineTieBreaksByUid) {
-    const std::vector<ScheduleItem> items{item(7, 2.0, 10.0), item(3, 2.0, 10.0)};
+    const std::vector<ScheduleItem> items{item(7, ms(2.0), ms(10.0)), item(3, ms(2.0), ms(10.0))};
     std::vector<TaskCompletion> completion;
-    std::ignore = schedule_resource(kCpu, 0.0, items, &completion);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 3), 2.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 7), 4.0);
+    std::ignore = schedule_resource(kCpu, 0, items, &completion);
+    EXPECT_EQ(completion_at(completion, 3), ms(2.0));
+    EXPECT_EQ(completion_at(completion, 7), ms(4.0));
 }
 
 TEST(Edf, ZeroDurationCompletesInstantly) {
-    const std::vector<ScheduleItem> items{item(1, 0.0, 10.0), item(2, 3.0, 5.0)};
+    const std::vector<ScheduleItem> items{item(1, ms(0.0), ms(10.0)), item(2, ms(3.0), ms(5.0))};
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const auto result = schedule_resource(kCpu, 0, items, &completion);
     EXPECT_TRUE(result.feasible);
     EXPECT_EQ(std::ranges::count(completion, TaskUid{1}, &TaskCompletion::uid), 1);
     ASSERT_EQ(result.timeline.segments.size(), 1u); // no zero-width segment emitted
@@ -122,38 +122,38 @@ TEST(Edf, ZeroDurationCompletesInstantly) {
 TEST(EdfPredicted, LaterDeadlineQueuesAfterAll) {
     // Paper case (4)/(5): tau_p has the latest deadline; it runs at
     // max(s_p, q_i) where q_i is when everything else finishes.
-    std::vector<ScheduleItem> items{item(1, 6.0, 10.0),
-                                    item(kPredictedUid, 3.0, 20.0, /*release=*/2.0)};
+    std::vector<ScheduleItem> items{item(1, ms(6.0), ms(10.0)),
+                                    item(kPredictedUid, ms(3.0), ms(20.0), /*release=*/ms(2.0))};
     std::vector<TaskCompletion> completion;
-    auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    auto result = schedule_resource(kCpu, 0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 6.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 9.0); // starts at q = 6 > s_p = 2
+    EXPECT_EQ(completion_at(completion, 1), ms(6.0));
+    EXPECT_EQ(completion_at(completion, kPredictedUid), ms(9.0)); // starts at q = 6 > s_p = 2
 
     // s_p beyond q: starts at s_p.
-    items[1].release = 8.0;
+    items[1].release = ms(8);
     completion.clear();
-    result = schedule_resource(kCpu, 0.0, items, &completion);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 11.0);
+    result = schedule_resource(kCpu, 0, items, &completion);
+    EXPECT_EQ(completion_at(completion, kPredictedUid), ms(11.0));
     // The resource idles in [6, 8): verify via the segment start.
     ASSERT_EQ(result.timeline.segments.size(), 2u);
-    EXPECT_DOUBLE_EQ(result.timeline.segments[1].start, 8.0);
+    EXPECT_EQ(result.timeline.segments[1].start, ms(8.0));
 }
 
 TEST(EdfPredicted, EarlierDeadlineArrivingDuringSl1DoesNotPreempt) {
     // Paper case (6)/(7) with s_p <= q_i: SL1 (deadline <= d_p) runs first;
     // tau_p follows without preempting.
     const std::vector<ScheduleItem> items{
-        item(1, 4.0, 6.0),                                   // SL1 (d=6 <= d_p=8)
-        item(2, 5.0, 30.0),                                  // SL2
-        item(kPredictedUid, 2.0, 8.0, /*release=*/1.0),      // d_p = 8
+        item(1, ms(4.0), ms(6.0)),                                   // SL1 (d=6 <= d_p=8)
+        item(2, ms(5.0), ms(30.0)),                                  // SL2
+        item(kPredictedUid, ms(2.0), ms(8.0), /*release=*/ms(1.0)),      // d_p = 8
     };
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const auto result = schedule_resource(kCpu, 0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 4.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 6.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 11.0);
+    EXPECT_EQ(completion_at(completion, 1), ms(4.0));
+    EXPECT_EQ(completion_at(completion, kPredictedUid), ms(6.0));
+    EXPECT_EQ(completion_at(completion, 2), ms(11.0));
     // Task 1 must not be split.
     EXPECT_EQ(result.timeline.segments.size(), 3u);
 }
@@ -162,38 +162,38 @@ TEST(EdfPredicted, ArrivalAfterQPreemptsRunningSl2Task) {
     // Paper constraints (8)-(14): tau_p arrives while an SL2 task runs; the
     // task splits into two chunks around tau_p.
     const std::vector<ScheduleItem> items{
-        item(1, 3.0, 5.0),                              // SL1, runs [0, 3)
-        item(2, 8.0, 30.0),                             // SL2, starts at 3
-        item(kPredictedUid, 2.0, 10.0, /*release=*/5.0) // preempts task 2 at 5
+        item(1, ms(3.0), ms(5.0)),                              // SL1, runs [0, 3)
+        item(2, ms(8.0), ms(30.0)),                             // SL2, starts at 3
+        item(kPredictedUid, ms(2.0), ms(10.0), /*release=*/ms(5.0)) // preempts task 2 at 5
     };
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const auto result = schedule_resource(kCpu, 0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 3.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 7.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 13.0); // 8 units of work + 2 preempted
+    EXPECT_EQ(completion_at(completion, 1), ms(3.0));
+    EXPECT_EQ(completion_at(completion, kPredictedUid), ms(7.0));
+    EXPECT_EQ(completion_at(completion, 2), ms(13.0)); // 8 units of work + 2 preempted
 
     // Task 2 must have exactly two chunks: [3, 5) and [7, 13).
     std::vector<Segment> chunks;
     for (const Segment& segment : result.timeline.segments)
         if (segment.uid == 2) chunks.push_back(segment);
     ASSERT_EQ(chunks.size(), 2u);
-    EXPECT_DOUBLE_EQ(chunks[0].start, 3.0);
-    EXPECT_DOUBLE_EQ(chunks[0].end, 5.0);
-    EXPECT_DOUBLE_EQ(chunks[1].start, 7.0);
-    EXPECT_DOUBLE_EQ(chunks[1].end, 13.0);
+    EXPECT_EQ(chunks[0].start, ms(3.0));
+    EXPECT_EQ(chunks[0].end, ms(5.0));
+    EXPECT_EQ(chunks[1].start, ms(7.0));
+    EXPECT_EQ(chunks[1].end, ms(13.0));
 }
 
 TEST(EdfPredicted, EqualDeadlineDoesNotPreempt) {
     // SL1 is "deadline earlier *or equal*": the predicted task loses ties.
     const std::vector<ScheduleItem> items{
-        item(1, 6.0, 10.0),
-        item(kPredictedUid, 2.0, 10.0, /*release=*/2.0),
+        item(1, ms(6.0), ms(10.0)),
+        item(kPredictedUid, ms(2.0), ms(10.0), /*release=*/ms(2.0)),
     };
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 6.0); // not preempted at t=2
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 8.0);
+    const auto result = schedule_resource(kCpu, 0, items, &completion);
+    EXPECT_EQ(completion_at(completion, 1), ms(6.0)); // not preempted at t=2
+    EXPECT_EQ(completion_at(completion, kPredictedUid), ms(8.0));
     EXPECT_EQ(result.timeline.segments.size(), 2u);
 }
 
@@ -202,18 +202,18 @@ TEST(EdfPredicted, NoPreemptionOnGpu) {
     // The same scenario as ArrivalAfterQPreempts... but on the GPU: tau_p
     // waits for the running task to finish.
     const std::vector<ScheduleItem> items{
-        item(1, 3.0, 5.0),
-        item(2, 8.0, 30.0),
-        item(kPredictedUid, 2.0, 16.0, /*release=*/5.0),
+        item(1, ms(3.0), ms(5.0)),
+        item(2, ms(8.0), ms(30.0)),
+        item(kPredictedUid, ms(2.0), ms(16.0), /*release=*/ms(5.0)),
     };
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kGpu, 0.0, items, &completion);
+    const auto result = schedule_resource(kGpu, 0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 11.0);              // runs [3, 11) unsplit
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 13.0);  // boundary dispatch at 11
+    EXPECT_EQ(completion_at(completion, 2), ms(11.0));              // runs [3, 11) unsplit
+    EXPECT_EQ(completion_at(completion, kPredictedUid), ms(13.0));  // boundary dispatch at 11
     for (const Segment& segment : result.timeline.segments)
         if (segment.uid == 2) {
-            EXPECT_DOUBLE_EQ(segment.duration(), 8.0);
+            EXPECT_EQ(segment.duration(), ms(8.0));
         }
 }
 
@@ -221,33 +221,33 @@ TEST(EdfPredicted, GpuBoundaryDispatchPrefersPredictedWhenReleased) {
     // At a task boundary past s_p, EDF picks the (earlier-deadline)
     // predicted task before remaining SL2 work.
     const std::vector<ScheduleItem> items{
-        item(1, 4.0, 6.0),
-        item(2, 5.0, 40.0),
-        item(3, 5.0, 50.0),
-        item(kPredictedUid, 2.0, 12.0, /*release=*/3.0),
+        item(1, ms(4.0), ms(6.0)),
+        item(2, ms(5.0), ms(40.0)),
+        item(3, ms(5.0), ms(50.0)),
+        item(kPredictedUid, ms(2.0), ms(12.0), /*release=*/ms(3.0)),
     };
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kGpu, 0.0, items, &completion);
+    const auto result = schedule_resource(kGpu, 0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 4.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 6.0); // boundary at 4 >= s_p = 3
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 11.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 3), 16.0);
+    EXPECT_EQ(completion_at(completion, 1), ms(4.0));
+    EXPECT_EQ(completion_at(completion, kPredictedUid), ms(6.0)); // boundary at 4 >= s_p = 3
+    EXPECT_EQ(completion_at(completion, 2), ms(11.0));
+    EXPECT_EQ(completion_at(completion, 3), ms(16.0));
 }
 
 TEST(EdfPredicted, GpuWorkConservingBeforeRelease) {
     // If the boundary comes before s_p, the GPU does not idle waiting for
     // the predicted task: non-preemptive EDF is work-conserving.
     const std::vector<ScheduleItem> items{
-        item(1, 2.0, 4.0),
-        item(2, 6.0, 40.0),
-        item(kPredictedUid, 2.0, 12.0, /*release=*/3.0),
+        item(1, ms(2.0), ms(4.0)),
+        item(2, ms(6.0), ms(40.0)),
+        item(kPredictedUid, ms(2.0), ms(12.0), /*release=*/ms(3.0)),
     };
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kGpu, 0.0, items, &completion);
+    const auto result = schedule_resource(kGpu, 0, items, &completion);
     // Boundary at t=2 < s_p=3: task 2 dispatches; tau_p must wait until 8.
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 8.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 10.0);
+    EXPECT_EQ(completion_at(completion, 2), ms(8.0));
+    EXPECT_EQ(completion_at(completion, kPredictedUid), ms(10.0));
     EXPECT_TRUE(result.feasible);
 }
 
@@ -255,19 +255,19 @@ TEST(EdfPredicted, GpuWorkConservingBeforeRelease) {
 
 TEST(EdfPinned, PinnedRunsFirstDespiteLaterDeadline) {
     const std::vector<ScheduleItem> items{
-        item(1, 5.0, 100.0, 0.0, /*pinned=*/true), // currently executing on the GPU
-        item(2, 2.0, 8.0),                         // earlier deadline but must wait
+        item(1, ms(5.0), ms(100.0), ms(0.0), /*pinned=*/true), // currently executing on the GPU
+        item(2, ms(2.0), ms(8.0)),                         // earlier deadline but must wait
     };
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kGpu, 0.0, items, &completion);
+    const auto result = schedule_resource(kGpu, 0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 5.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 7.0);
+    EXPECT_EQ(completion_at(completion, 1), ms(5.0));
+    EXPECT_EQ(completion_at(completion, 2), ms(7.0));
 }
 
 TEST(EdfPinned, PinnedOnPreemptableResourceThrows) {
-    const std::vector<ScheduleItem> items{item(1, 5.0, 100.0, 0.0, /*pinned=*/true)};
-    EXPECT_THROW(std::ignore = schedule_resource(kCpu, 0.0, items), precondition_error);
+    const std::vector<ScheduleItem> items{item(1, ms(5.0), ms(100.0), ms(0.0), /*pinned=*/true)};
+    EXPECT_THROW(std::ignore = schedule_resource(kCpu, 0, items), precondition_error);
 }
 
 // ---- window-level assembly ----
@@ -275,37 +275,37 @@ TEST(EdfPinned, PinnedOnPreemptableResourceThrows) {
 TEST(WindowSchedule, GroupsByResourceAndReportsCompletions) {
     const Platform platform = make_motivational_platform();
     std::vector<ScheduleItem> items;
-    ScheduleItem a = item(1, 5.0, 10.0);
+    ScheduleItem a = item(1, ms(5.0), ms(10.0));
     a.resource = 0;
-    ScheduleItem b = item(2, 3.0, 6.0);
+    ScheduleItem b = item(2, ms(3.0), ms(6.0));
     b.resource = 2;
     items = {a, b};
-    const WindowSchedule schedule = build_window_schedule(platform, 0.0, items);
+    const WindowSchedule schedule = build_window_schedule(platform, 0, items);
     EXPECT_TRUE(schedule.feasible);
     ASSERT_EQ(schedule.per_resource.size(), 3u);
     EXPECT_EQ(schedule.per_resource[0].segments.size(), 1u);
     EXPECT_TRUE(schedule.per_resource[1].segments.empty());
     EXPECT_EQ(schedule.per_resource[2].segments.size(), 1u);
-    EXPECT_DOUBLE_EQ(*schedule.completion_of(1), 5.0);
-    EXPECT_DOUBLE_EQ(*schedule.completion_of(2), 3.0);
+    EXPECT_EQ(*schedule.completion_of(1), ms(5.0));
+    EXPECT_EQ(*schedule.completion_of(2), ms(3.0));
     EXPECT_FALSE(schedule.completion_of(99).has_value());
 }
 
 TEST(WindowSchedule, SegmentsOfCollectsAcrossResources) {
     const Platform platform = make_motivational_platform();
-    ScheduleItem a = item(1, 5.0, 20.0);
+    ScheduleItem a = item(1, ms(5.0), ms(20.0));
     a.resource = 0;
-    const WindowSchedule schedule = build_window_schedule(platform, 0.0, std::vector{a});
+    const WindowSchedule schedule = build_window_schedule(platform, 0, std::vector{a});
     const auto segments = schedule.segments_of(1);
     ASSERT_EQ(segments.size(), 1u);
-    EXPECT_DOUBLE_EQ(segments[0].duration(), 5.0);
+    EXPECT_EQ(segments[0].duration(), ms(5.0));
 }
 
 TEST(WindowSchedule, InvalidResourceIndexThrows) {
     const Platform platform = make_motivational_platform();
-    ScheduleItem a = item(1, 5.0, 20.0);
+    ScheduleItem a = item(1, ms(5.0), ms(20.0));
     a.resource = 9;
-    EXPECT_THROW(std::ignore = build_window_schedule(platform, 0.0, std::vector{a}),
+    EXPECT_THROW(std::ignore = build_window_schedule(platform, 0, std::vector{a}),
                  precondition_error);
 }
 
@@ -317,22 +317,22 @@ TEST(EdfMixed, ReservationOutranksPredictedTask) {
     // predicted deadline is tight.
     ScheduleItem reservation;
     reservation.uid = kReservedUidBase + 1;
-    reservation.release = 4.0;
-    reservation.abs_deadline = 6.0;
-    reservation.duration = 2.0;
+    reservation.release = ms(4.0);
+    reservation.abs_deadline = ms(6.0);
+    reservation.duration = ms(2.0);
     reservation.reserved = true;
 
     const std::vector<ScheduleItem> items{
-        item(1, 3.0, 20.0),
-        item(kPredictedUid, 3.0, 9.0, /*release=*/4.0),
+        item(1, ms(3.0), ms(20.0)),
+        item(kPredictedUid, ms(3.0), ms(9.0), /*release=*/ms(4.0)),
         reservation,
     };
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const auto result = schedule_resource(kCpu, 0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 1), 6.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 9.0); // after the window
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 3.0); // runs [0,3), before the window
+    EXPECT_EQ(completion_at(completion, kReservedUidBase + 1), ms(6.0));
+    EXPECT_EQ(completion_at(completion, kPredictedUid), ms(9.0)); // after the window
+    EXPECT_EQ(completion_at(completion, 1), ms(3.0)); // runs [0,3), before the window
 }
 
 TEST(EdfMixed, PredictedPreemptsTaskThenReservationPreemptsPredicted) {
@@ -340,24 +340,24 @@ TEST(EdfMixed, PredictedPreemptsTaskThenReservationPreemptsPredicted) {
     // reservation at 4 preempts tau_p; everything resumes afterwards.
     ScheduleItem reservation;
     reservation.uid = kReservedUidBase + 2;
-    reservation.release = 4.0;
-    reservation.abs_deadline = 5.0;
-    reservation.duration = 1.0;
+    reservation.release = ms(4.0);
+    reservation.abs_deadline = ms(5.0);
+    reservation.duration = ms(1.0);
     reservation.reserved = true;
 
     const std::vector<ScheduleItem> items{
-        item(1, 6.0, 30.0),
-        item(kPredictedUid, 3.0, 8.0, /*release=*/2.0),
+        item(1, ms(6.0), ms(30.0)),
+        item(kPredictedUid, ms(3.0), ms(8.0), /*release=*/ms(2.0)),
         reservation,
     };
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const auto result = schedule_resource(kCpu, 0, items, &completion);
     EXPECT_TRUE(result.feasible);
     // Timeline: task1 [0,2), tau_p [2,4), reservation [4,5), tau_p [5,6),
     // task1 [6,10).
-    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 2), 5.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 6.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 10.0);
+    EXPECT_EQ(completion_at(completion, kReservedUidBase + 2), ms(5.0));
+    EXPECT_EQ(completion_at(completion, kPredictedUid), ms(6.0));
+    EXPECT_EQ(completion_at(completion, 1), ms(10.0));
     // tau_p must be split into two chunks around the reservation.
     std::size_t predicted_chunks = 0;
     for (const Segment& segment : result.timeline.segments)
@@ -374,33 +374,33 @@ TEST(EdfProperty, FeasibleOnlyWhenAllCompletionsMeetDeadlines) {
         const std::size_t count = 1 + rng.index(6);
         std::vector<ScheduleItem> items;
         for (std::size_t j = 0; j < count; ++j) {
-            ScheduleItem it = item(j + 1, rng.uniform(0.5, 8.0), rng.uniform(2.0, 30.0));
+            ScheduleItem it = item(j + 1, ms(rng.uniform(0.5, 8.0)), ms(rng.uniform(2.0, 30.0)));
             items.push_back(it);
         }
         if (rng.bernoulli(0.5))
-            items.push_back(item(kPredictedUid, rng.uniform(0.5, 6.0), rng.uniform(4.0, 30.0),
-                                 rng.uniform(0.0, 10.0)));
+            items.push_back(item(kPredictedUid, ms(rng.uniform(0.5, 6.0)), ms(rng.uniform(4.0, 30.0)),
+                                 ms(rng.uniform(0.0, 10.0))));
 
         std::vector<TaskCompletion> completion;
         const auto result =
-            schedule_resource(gpu ? kGpu : kCpu, 0.0, items, &completion);
+            schedule_resource(gpu ? kGpu : kCpu, 0, items, &completion);
 
         bool all_met = true;
-        double total_work = 0.0;
+        Time total_work = 0;
         for (const ScheduleItem& it : items) {
             ASSERT_EQ(std::ranges::count(completion, it.uid, &TaskCompletion::uid), 1);
-            if (completion_at(completion, it.uid) > it.abs_deadline + 1e-6) all_met = false;
+            if (completion_at(completion, it.uid) > it.abs_deadline) all_met = false;
             total_work += it.duration;
         }
         EXPECT_EQ(result.feasible, all_met);
-        EXPECT_EQ(resource_feasible(gpu ? kGpu : kCpu, 0.0, items), all_met);
+        EXPECT_EQ(resource_feasible(gpu ? kGpu : kCpu, 0, items), all_met);
 
         // Conservation: total segment time equals total work.
-        double total_segments = 0.0;
+        Time total_segments = 0;
         for (const Segment& segment : result.timeline.segments)
             total_segments += segment.duration();
-        EXPECT_NEAR(total_segments, total_work, 1e-6);
-        expect_well_formed(result.timeline, 0.0);
+        EXPECT_EQ(total_segments, total_work);
+        expect_well_formed(result.timeline, 0);
     }
 }
 
@@ -414,12 +414,12 @@ TEST(EdfProperty, PreemptiveEdfDominatesNonPreemptive) {
         const std::size_t count = 1 + rng.index(5);
         std::vector<ScheduleItem> items;
         for (std::size_t j = 0; j < count; ++j)
-            items.push_back(item(j + 1, rng.uniform(0.5, 6.0), rng.uniform(2.0, 25.0)));
-        items.push_back(item(kPredictedUid, rng.uniform(0.5, 4.0), rng.uniform(3.0, 25.0),
-                             rng.uniform(0.0, 8.0)));
-        if (resource_feasible(kGpu, 0.0, items)) {
+            items.push_back(item(j + 1, ms(rng.uniform(0.5, 6.0)), ms(rng.uniform(2.0, 25.0))));
+        items.push_back(item(kPredictedUid, ms(rng.uniform(0.5, 4.0)), ms(rng.uniform(3.0, 25.0)),
+                             ms(rng.uniform(0.0, 8.0))));
+        if (resource_feasible(kGpu, 0, items)) {
             ++gpu_feasible;
-            EXPECT_TRUE(resource_feasible(kCpu, 0.0, items));
+            EXPECT_TRUE(resource_feasible(kCpu, 0, items));
         }
     }
     EXPECT_GT(gpu_feasible, 50); // the property must actually be exercised
@@ -430,11 +430,11 @@ TEST(EdfProperty, PreemptiveEdfDominatesNonPreemptive) {
 TEST(EdfPrefilterTest, RejectsOverloadAcceptsSlackOnPlainSets) {
     // Plain = preemptable resource, everything released, nothing reserved
     // or pinned: both certificates of edf_demand_prefilter can fire.
-    const std::vector<ScheduleItem> overload{item(1, 4.0, 4.0), item(2, 3.0, 5.0)};
-    EXPECT_EQ(edf_demand_prefilter(kCpu, 0.0, overload), EdfPrefilter::infeasible);
+    const std::vector<ScheduleItem> overload{item(1, ms(4.0), ms(4.0)), item(2, ms(3.0), ms(5.0))};
+    EXPECT_EQ(edf_demand_prefilter(kCpu, 0, overload), EdfPrefilter::infeasible);
 
-    const std::vector<ScheduleItem> slack{item(1, 2.0, 10.0), item(2, 3.0, 20.0)};
-    EXPECT_EQ(edf_demand_prefilter(kCpu, 0.0, slack), EdfPrefilter::feasible);
+    const std::vector<ScheduleItem> slack{item(1, ms(2.0), ms(10.0)), item(2, ms(3.0), ms(20.0))};
+    EXPECT_EQ(edf_demand_prefilter(kCpu, 0, slack), EdfPrefilter::feasible);
 }
 
 TEST(EdfPrefilterTest, ProcessorDemandCriterionDecidesFutureReleases) {
@@ -442,28 +442,32 @@ TEST(EdfPrefilterTest, ProcessorDemandCriterionDecidesFutureReleases) {
     // processor-demand criterion (anchored scan plus one scan per distinct
     // future release) is a full verdict — the common admission probe that
     // carries a predicted task no longer falls back to the simulation.
-    const std::vector<ScheduleItem> loose{item(1, 2.0, 30.0),
-                                          item(kPredictedUid, 1.0, 25.0, /*release=*/5.0)};
-    EXPECT_EQ(edf_demand_prefilter(kCpu, 0.0, loose), EdfPrefilter::feasible);
-    EXPECT_TRUE(resource_feasible(kCpu, 0.0, loose));
+    const std::vector<ScheduleItem> loose{item(1, ms(2.0), ms(30.0)),
+                                          item(kPredictedUid, ms(1.0), ms(25.0), /*release=*/ms(5.0))};
+    EXPECT_EQ(edf_demand_prefilter(kCpu, 0, loose), EdfPrefilter::feasible);
+    EXPECT_TRUE(resource_feasible(kCpu, 0, loose));
 
-    const std::vector<ScheduleItem> overload{item(1, 8.0, 9.0),
-                                             item(kPredictedUid, 4.0, 10.0, /*release=*/5.0)};
-    EXPECT_EQ(edf_demand_prefilter(kCpu, 0.0, overload), EdfPrefilter::infeasible);
-    EXPECT_FALSE(resource_feasible(kCpu, 0.0, overload));
+    const std::vector<ScheduleItem> overload{item(1, ms(8.0), ms(9.0)),
+                                             item(kPredictedUid, ms(4.0), ms(10.0), /*release=*/ms(5.0))};
+    EXPECT_EQ(edf_demand_prefilter(kCpu, 0, overload), EdfPrefilter::infeasible);
+    EXPECT_FALSE(resource_feasible(kCpu, 0, overload));
 
     // The future window [5, 13) is overfull even though the now-anchored
     // demand bound passes: only the per-release scan catches it.
     const std::vector<ScheduleItem> window_overload{
-        item(1, 2.0, 30.0), item(kPredictedUid, 9.0, 13.0, /*release=*/5.0)};
-    EXPECT_EQ(edf_demand_prefilter(kCpu, 0.0, window_overload), EdfPrefilter::infeasible);
-    EXPECT_FALSE(resource_feasible(kCpu, 0.0, window_overload));
+        item(1, ms(2.0), ms(30.0)), item(kPredictedUid, ms(9.0), ms(13.0), /*release=*/ms(5.0))};
+    EXPECT_EQ(edf_demand_prefilter(kCpu, 0, window_overload), EdfPrefilter::infeasible);
+    EXPECT_FALSE(resource_feasible(kCpu, 0, window_overload));
 
-    // Exactly-tight future window: inside the safety band, the prefilter
-    // must refuse to guess and defer to the simulation.
-    const std::vector<ScheduleItem> tight{item(kPredictedUid, 5.0, 10.0, /*release=*/5.0)};
-    EXPECT_EQ(edf_demand_prefilter(kCpu, 0.0, tight), EdfPrefilter::unknown);
-    EXPECT_TRUE(resource_feasible(kCpu, 0.0, tight));
+    // Exactly-tight future window: integer time makes the boundary exact,
+    // so the prefilter decides it without the simulation.
+    const std::vector<ScheduleItem> tight{item(kPredictedUid, ms(5.0), ms(10.0), /*release=*/ms(5.0))};
+    EXPECT_EQ(edf_demand_prefilter(kCpu, 0, tight), EdfPrefilter::feasible);
+    EXPECT_TRUE(resource_feasible(kCpu, 0, tight));
+    const std::vector<ScheduleItem> one_tick_over{
+        item(kPredictedUid, ms(5.0) + 1, ms(10.0), /*release=*/ms(5.0))};
+    EXPECT_EQ(edf_demand_prefilter(kCpu, 0, one_tick_over), EdfPrefilter::infeasible);
+    EXPECT_FALSE(resource_feasible(kCpu, 0, one_tick_over));
 }
 
 TEST(EdfPrefilterTest, NonPreemptableAllReleasedIsDecisive) {
@@ -472,25 +476,25 @@ TEST(EdfPrefilterTest, NonPreemptableAllReleasedIsDecisive) {
     // simulation's completion times and yields a full verdict — the GPU
     // admission probe (the bulk of serve-mode feasibility checks) resolves
     // analytically.
-    const std::vector<ScheduleItem> fits{item(1, 4.0, 5.0), item(2, 3.0, 9.0)};
-    EXPECT_EQ(edf_demand_prefilter(kGpu, 0.0, fits), EdfPrefilter::feasible);
+    const std::vector<ScheduleItem> fits{item(1, ms(4.0), ms(5.0)), item(2, ms(3.0), ms(9.0))};
+    EXPECT_EQ(edf_demand_prefilter(kGpu, 0, fits), EdfPrefilter::feasible);
 
-    const std::vector<ScheduleItem> late{item(1, 4.0, 5.0), item(2, 3.0, 6.0)};
-    EXPECT_EQ(edf_demand_prefilter(kGpu, 0.0, late), EdfPrefilter::infeasible);
+    const std::vector<ScheduleItem> late{item(1, ms(4.0), ms(5.0)), item(2, ms(3.0), ms(6.0))};
+    EXPECT_EQ(edf_demand_prefilter(kGpu, 0, late), EdfPrefilter::infeasible);
 
     // A pinned head outranks demand order; the mirror scan accounts for it.
     const std::vector<ScheduleItem> pinned_ok{
-        item(1, 5.0, 100.0, 0.0, /*pinned=*/true), item(2, 2.0, 8.0)};
-    EXPECT_EQ(edf_demand_prefilter(kGpu, 0.0, pinned_ok), EdfPrefilter::feasible);
+        item(1, ms(5.0), ms(100.0), ms(0.0), /*pinned=*/true), item(2, ms(2.0), ms(8.0))};
+    EXPECT_EQ(edf_demand_prefilter(kGpu, 0, pinned_ok), EdfPrefilter::feasible);
     const std::vector<ScheduleItem> pinned_late{
-        item(1, 5.0, 100.0, 0.0, /*pinned=*/true), item(2, 2.0, 6.0)};
-    EXPECT_EQ(edf_demand_prefilter(kGpu, 0.0, pinned_late), EdfPrefilter::infeasible);
+        item(1, ms(5.0), ms(100.0), ms(0.0), /*pinned=*/true), item(2, ms(2.0), ms(6.0))};
+    EXPECT_EQ(edf_demand_prefilter(kGpu, 0, pinned_late), EdfPrefilter::infeasible);
 
     // A future release reintroduces idle/boundary effects: back to the
     // necessary-condition scan, decisive only for overload.
-    const std::vector<ScheduleItem> future{item(1, 2.0, 30.0),
-                                           item(kPredictedUid, 1.0, 25.0, /*release=*/5.0)};
-    EXPECT_EQ(edf_demand_prefilter(kGpu, 0.0, future), EdfPrefilter::unknown);
+    const std::vector<ScheduleItem> future{item(1, ms(2.0), ms(30.0)),
+                                           item(kPredictedUid, ms(1.0), ms(25.0), /*release=*/ms(5.0))};
+    EXPECT_EQ(edf_demand_prefilter(kGpu, 0, future), EdfPrefilter::unknown);
 }
 
 TEST(EdfPrefilterTest, SortedVariantAgreesOnRandomPermutations) {
@@ -500,22 +504,22 @@ TEST(EdfPrefilterTest, SortedVariantAgreesOnRandomPermutations) {
     int decisive = 0;
     for (int round = 0; round < 1500; ++round) {
         const Resource& resource = rng.bernoulli(0.4) ? kGpu : kCpu;
-        const Time now = rng.uniform(0.0, 10.0);
+        const Time now = ms(rng.uniform(0.0, 10.0));
         const std::size_t count = 1 + rng.index(7);
         std::vector<ScheduleItem> items;
         for (std::size_t j = 0; j < count; ++j) {
-            const Time release = rng.bernoulli(0.3) ? now + rng.uniform(0.0, 6.0) : now;
-            items.push_back(item(j + 1, rng.uniform(0.2, 6.0),
-                                 release + rng.uniform(0.5, 18.0), release));
+            const Time release = rng.bernoulli(0.3) ? now + ms(rng.uniform(0.0, 6.0)) : now;
+            items.push_back(item(j + 1, ms(rng.uniform(0.2, 6.0)),
+                                 release + ms(rng.uniform(0.5, 18.0)), release));
         }
         if (resource.kind() == ResourceKind::gpu && rng.bernoulli(0.3))
-            items.push_back(item(50, rng.uniform(0.5, 3.0), now + rng.uniform(1.0, 20.0), now,
+            items.push_back(item(50, ms(rng.uniform(0.5, 3.0)), now + ms(rng.uniform(1.0, 20.0)), now,
                                  /*pinned=*/true));
         if (rng.bernoulli(0.2)) {
             ScheduleItem reservation;
             reservation.uid = kReservedUidBase + 1;
-            reservation.release = now + rng.uniform(0.0, 8.0);
-            reservation.duration = rng.uniform(0.5, 2.0);
+            reservation.release = now + ms(rng.uniform(0.0, 8.0));
+            reservation.duration = ms(rng.uniform(0.5, 2.0));
             reservation.abs_deadline = reservation.release + reservation.duration;
             reservation.reserved = true;
             items.push_back(reservation);
@@ -546,7 +550,7 @@ TEST(EdfPrefilterTest, IncrementalInsertionMatchesFromScratchRecompute) {
     Rng rng(86420);
     for (int round = 0; round < 200; ++round) {
         const Resource& resource = rng.bernoulli(0.5) ? kGpu : kCpu;
-        const Time now = rng.uniform(0.0, 5.0);
+        const Time now = ms(rng.uniform(0.0, 5.0));
         std::vector<ScheduleItem> incremental;
         std::vector<ScheduleItem> arrival_order;
         const std::size_t count = 1 + rng.index(10);
@@ -554,9 +558,9 @@ TEST(EdfPrefilterTest, IncrementalInsertionMatchesFromScratchRecompute) {
             // Duplicate deadlines and releases on purpose: the total order's
             // uid tie-break is what keeps the two sides aligned.
             const Time release =
-                rng.bernoulli(0.3) ? now + static_cast<double>(rng.index(4)) * 1.5 : now;
-            ScheduleItem next = item(j + 1, rng.uniform(0.2, 5.0),
-                                     release + 2.0 + static_cast<double>(rng.index(5)) * 2.0,
+                rng.bernoulli(0.3) ? now + ms(static_cast<double>(rng.index(4)) * 1.5) : now;
+            ScheduleItem next = item(j + 1, ms(rng.uniform(0.2, 5.0)),
+                                     release + ms(2.0 + static_cast<double>(rng.index(5)) * 2.0),
                                      release);
             arrival_order.push_back(next);
             const std::size_t pos = insert_demand_ordered(incremental, next);
@@ -583,24 +587,24 @@ TEST(EdfGolden, SoaInnerLoopReproducesGoldenSegmentOrder) {
     // completion times.
     ScheduleItem reservation;
     reservation.uid = kReservedUidBase + 1;
-    reservation.release = 6.0;
-    reservation.abs_deadline = 7.0;
-    reservation.duration = 1.0;
+    reservation.release = ms(6.0);
+    reservation.abs_deadline = ms(7.0);
+    reservation.duration = ms(1.0);
     reservation.reserved = true;
     const std::vector<ScheduleItem> items{
-        item(2, 4.0, 40.0),                              // ties on uid with 5
-        item(5, 3.0, 40.0),                              // loses the uid tie
-        item(1, 2.0, 9.0),                               // earliest deadline, runs first
-        item(kPredictedUid, 2.0, 12.0, /*release=*/3.0), // preempts task 2 at 3
+        item(2, ms(4.0), ms(40.0)),                              // ties on uid with 5
+        item(5, ms(3.0), ms(40.0)),                              // loses the uid tie
+        item(1, ms(2.0), ms(9.0)),                               // earliest deadline, runs first
+        item(kPredictedUid, ms(2.0), ms(12.0), /*release=*/ms(3.0)), // preempts task 2 at 3
         reservation,                                     // preempts tau_p's tail window
     };
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const auto result = schedule_resource(kCpu, 0, items, &completion);
     EXPECT_TRUE(result.feasible);
 
     // Expected dispatch: 1 [0,2), 2 [2,3), tau_p [3,5), 2 [5,6),
     // reservation [6,7), 2 [7,9), 5 [9,12).
-    const std::vector<std::tuple<TaskUid, double, double>> golden{
+    const std::vector<std::tuple<TaskUid, double, double>> golden{ // ms
         {1, 0.0, 2.0},  {2, 2.0, 3.0},
         {kPredictedUid, 3.0, 5.0}, {2, 5.0, 6.0},
         {kReservedUidBase + 1, 6.0, 7.0}, {2, 7.0, 9.0},
@@ -609,11 +613,11 @@ TEST(EdfGolden, SoaInnerLoopReproducesGoldenSegmentOrder) {
     ASSERT_EQ(result.timeline.segments.size(), golden.size());
     for (std::size_t k = 0; k < golden.size(); ++k) {
         EXPECT_EQ(result.timeline.segments[k].uid, std::get<0>(golden[k])) << "segment " << k;
-        EXPECT_DOUBLE_EQ(result.timeline.segments[k].start, std::get<1>(golden[k]));
-        EXPECT_DOUBLE_EQ(result.timeline.segments[k].end, std::get<2>(golden[k]));
+        EXPECT_EQ(result.timeline.segments[k].start, ms(std::get<1>(golden[k])));
+        EXPECT_EQ(result.timeline.segments[k].end, ms(std::get<2>(golden[k])));
     }
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 9.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 5), 12.0);
+    EXPECT_EQ(completion_at(completion, 2), ms(9.0));
+    EXPECT_EQ(completion_at(completion, 5), ms(12.0));
 }
 
 TEST(EdfPrefilterTest, DvfsAnchorScreensTheMergedOperatingPointSet) {
@@ -628,18 +632,18 @@ TEST(EdfPrefilterTest, DvfsAnchorScreensTheMergedOperatingPointSet) {
     const Resource& anchor = platform.resource(0);
     ASSERT_EQ(platform.resource(1).physical(), 0u);
 
-    ScheduleItem full = item(1, 2.0, 12.0); // at the 1.0 level
-    ScheduleItem half = item(2, 4.0, 12.0); // 2.0 of work at f = 0.5
+    ScheduleItem full = item(1, ms(2.0), ms(12.0)); // at the 1.0 level
+    ScheduleItem half = item(2, ms(4.0), ms(12.0)); // 2.0 of work at f = 0.5
     half.resource = 1;
     std::vector<ScheduleItem> merged{full, half};
-    EXPECT_EQ(edf_demand_prefilter(anchor, 0.0, merged), EdfPrefilter::feasible);
-    EXPECT_TRUE(build_window_schedule(platform, 0.0, merged).feasible);
+    EXPECT_EQ(edf_demand_prefilter(anchor, 0, merged), EdfPrefilter::feasible);
+    EXPECT_TRUE(build_window_schedule(platform, 0, merged).feasible);
 
-    ScheduleItem heavy = item(3, 16.0, 12.0); // 8.0 of work at f = 0.5
+    ScheduleItem heavy = item(3, ms(16.0), ms(12.0)); // 8.0 of work at f = 0.5
     heavy.resource = 1;
     merged.push_back(heavy);
-    EXPECT_EQ(edf_demand_prefilter(anchor, 0.0, merged), EdfPrefilter::infeasible);
-    EXPECT_FALSE(build_window_schedule(platform, 0.0, merged).feasible);
+    EXPECT_EQ(edf_demand_prefilter(anchor, 0, merged), EdfPrefilter::infeasible);
+    EXPECT_FALSE(build_window_schedule(platform, 0, merged).feasible);
 }
 
 TEST(EdfPrefilterTest, DecisiveVerdictsAgreeWithFullSimulation) {
@@ -656,34 +660,34 @@ TEST(EdfPrefilterTest, DecisiveVerdictsAgreeWithFullSimulation) {
     for (int round = 0; round < 3000; ++round) {
         const bool gpu = rng.bernoulli(0.3);
         const Resource& resource = gpu ? kGpu : kCpu;
-        const Time now = rng.bernoulli(0.5) ? 0.0 : rng.uniform(0.0, 15.0);
+        const Time now = rng.bernoulli(0.5) ? 0 : ms(rng.uniform(0.0, 15.0));
         const std::size_t count = 1 + rng.index(7);
 
         std::vector<ScheduleItem> items;
         bool mixed = false;
         for (std::size_t j = 0; j < count; ++j) {
-            const double duration = rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.2, 6.0);
+            const Time duration = rng.bernoulli(0.1) ? 0 : ms(rng.uniform(0.2, 6.0));
             Time release = now;
             if (rng.bernoulli(0.25)) { // future release (predicted-style)
-                release = now + rng.uniform(0.0, 8.0);
+                release = now + ms(rng.uniform(0.0, 8.0));
                 mixed = true;
             }
             items.push_back(
-                item(j + 1, duration, release + rng.uniform(0.5, 22.0), release));
+                item(j + 1, duration, release + ms(rng.uniform(0.5, 22.0)), release));
         }
         if (rng.bernoulli(0.2)) { // one exact-window reservation
             ScheduleItem reservation;
             reservation.uid = kReservedUidBase + 1;
-            reservation.release = now + rng.uniform(0.0, 10.0);
-            reservation.duration = rng.uniform(0.5, 3.0);
+            reservation.release = now + ms(rng.uniform(0.0, 10.0));
+            reservation.duration = ms(rng.uniform(0.5, 3.0));
             reservation.abs_deadline = reservation.release + reservation.duration;
             reservation.reserved = true;
             items.push_back(reservation);
             mixed = true;
         }
         if (gpu && rng.bernoulli(0.3)) { // currently-executing head task
-            ScheduleItem pinned = item(100, rng.uniform(0.5, 4.0),
-                                       now + rng.uniform(1.0, 20.0), now, /*pinned=*/true);
+            ScheduleItem pinned = item(100, ms(rng.uniform(0.5, 4.0)),
+                                       now + ms(rng.uniform(1.0, 20.0)), now, /*pinned=*/true);
             items.push_back(pinned);
             mixed = true;
         }
@@ -728,15 +732,14 @@ struct QuadraticEdf {
 /// for bit.
 QuadraticEdf quadratic_edf(const Resource& resource, Time now,
                            const std::vector<ScheduleItem>& items) {
-    constexpr double kEps = 1e-6;
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    constexpr Time kForever = std::numeric_limits<Time>::infinity();
+    constexpr Time kForever = kNever;
     QuadraticEdf out;
     Time cur = now;
     auto emit = [&](TaskUid uid, Time start, Time end) {
         if (end <= start) return;
         if (!out.segments.empty() && out.segments.back().uid == uid &&
-            std::abs(out.segments.back().end - start) <= kEps) {
+            out.segments.back().end == start) {
             out.segments.back().end = end;
             return;
         }
@@ -744,12 +747,12 @@ QuadraticEdf quadratic_edf(const Resource& resource, Time now,
     };
     auto finish = [&](TaskUid uid, Time deadline, Time end) {
         out.completion.push_back(TaskCompletion{uid, end});
-        if (end > deadline + kEps) out.feasible = false;
+        if (end > deadline) out.feasible = false;
     };
 
     struct Task {
         Time release, deadline;
-        double remaining;
+        Time remaining;
         TaskUid uid;
         bool reserved, done;
     };
@@ -774,7 +777,7 @@ QuadraticEdf quadratic_edf(const Resource& resource, Time now,
             continue;
         }
         tasks.push_back(Task{it.release, it.abs_deadline, it.duration, it.uid, it.reserved,
-                             it.duration <= 0.0});
+                             it.duration <= 0});
         if (tasks.back().done) finish(it.uid, it.abs_deadline, std::max(cur, it.release));
     }
     std::size_t open = 0;
@@ -783,26 +786,26 @@ QuadraticEdf quadratic_edf(const Resource& resource, Time now,
     while (open > 0) {
         std::size_t pick = kNone;
         for (std::size_t j = 0; j < tasks.size(); ++j) {
-            if (tasks[j].done || tasks[j].release > cur + kEps) continue;
+            if (tasks[j].done || tasks[j].release > cur) continue;
             if (pick == kNone || edf_before(j, pick)) pick = j;
         }
         Time next_reservation = kForever;
         for (const Task& task : tasks)
-            if (!task.done && task.reserved && task.release > cur + kEps)
+            if (!task.done && task.reserved && task.release > cur)
                 next_reservation = std::min(next_reservation, task.release);
         if (!resource.preemptable() && pick != kNone && !tasks[pick].reserved &&
-            cur + tasks[pick].remaining > next_reservation + kEps) {
+            tasks[pick].remaining > next_reservation - cur) {
             pick = kNone;
             for (std::size_t j = 0; j < tasks.size(); ++j) {
-                if (tasks[j].done || tasks[j].release > cur + kEps || tasks[j].reserved) continue;
-                if (cur + tasks[j].remaining > next_reservation + kEps) continue;
+                if (tasks[j].done || tasks[j].release > cur || tasks[j].reserved) continue;
+                if (tasks[j].remaining > next_reservation - cur) continue;
                 if (pick == kNone || edf_before(j, pick)) pick = j;
             }
         }
         if (pick == kNone) {
             Time next = next_reservation;
             for (const Task& task : tasks)
-                if (!task.done && task.release > cur + kEps) next = std::min(next, task.release);
+                if (!task.done && task.release > cur) next = std::min(next, task.release);
             cur = std::max(cur, next);
             continue;
         }
@@ -811,7 +814,7 @@ QuadraticEdf quadratic_edf(const Resource& resource, Time now,
             Time preempt_at = kForever;
             for (std::size_t j = 0; j < tasks.size(); ++j) {
                 if (tasks[j].done || j == pick) continue;
-                if (tasks[j].release > cur + kEps && tasks[j].release < end - kEps &&
+                if (tasks[j].release > cur && tasks[j].release < end &&
                     preempts(j, pick))
                     preempt_at = std::min(preempt_at, tasks[j].release);
             }
@@ -823,7 +826,7 @@ QuadraticEdf quadratic_edf(const Resource& resource, Time now,
             }
         }
         emit(tasks[pick].uid, cur, end);
-        tasks[pick].remaining = 0.0;
+        tasks[pick].remaining = 0;
         tasks[pick].done = true;
         --open;
         finish(tasks[pick].uid, tasks[pick].deadline, end);
@@ -832,17 +835,13 @@ QuadraticEdf quadratic_edf(const Resource& resource, Time now,
     return out;
 }
 
-bool same_bits(double a, double b) {
-    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
 TEST(EdfDifferential, SortedDispatchMatchesQuadraticLoop) {
-    // Whole-number times on a coarse grid make deadline and release ties
-    // common and put dispatch instants on integers; releases are then
-    // nudged to within (and just beyond) kEps of those instants.  Some
-    // rounds repeat a uid, so ties reach the input-position tie-break.
+    // Whole-millisecond times on a coarse grid make deadline and release
+    // ties common and put dispatch instants on whole milliseconds; releases
+    // are then nudged a tick or two off those instants.  Some rounds repeat
+    // a uid, so ties reach the input-position tie-break.
     Rng rng(20261018);
-    const double nudges[] = {0.0, 0.5e-6, -0.5e-6, 1e-6, -1e-6, 1.5e-6, -1.5e-6};
+    const Time nudges[] = {0, 1, -1, 2, -2, 3, -3};
     int preempted = 0;
     int reserved = 0;
     int pinned = 0;
@@ -852,7 +851,7 @@ TEST(EdfDifferential, SortedDispatchMatchesQuadraticLoop) {
     for (int round = 0; round < 4000; ++round) {
         const bool gpu = rng.bernoulli(0.4);
         const Resource& resource = gpu ? kGpu : kCpu;
-        const Time now = rng.bernoulli(0.5) ? 0.0 : static_cast<double>(rng.index(20));
+        const Time now = rng.bernoulli(0.5) ? 0 : ms(static_cast<double>(rng.index(20)));
         const bool whole = rng.bernoulli(0.7);
         const std::size_t count = 1 + rng.index(24);
         bool round_nudged = false;
@@ -860,30 +859,31 @@ TEST(EdfDifferential, SortedDispatchMatchesQuadraticLoop) {
 
         std::vector<ScheduleItem> items;
         for (std::size_t j = 0; j < count; ++j) {
-            double duration = whole ? static_cast<double>(1 + rng.index(6)) : rng.uniform(0.2, 6.0);
-            if (rng.bernoulli(0.1)) duration = 0.0;
+            Time duration =
+                whole ? ms(static_cast<double>(1 + rng.index(6))) : ms(rng.uniform(0.2, 6.0));
+            if (rng.bernoulli(0.1)) duration = 0;
             Time release = now;
             if (rng.bernoulli(0.35)) {
-                const double nudge = nudges[rng.index(std::size(nudges))];
-                release = std::max(now, now + static_cast<double>(rng.index(12)) + nudge);
-                round_nudged = round_nudged || nudge != 0.0;
+                const Time nudge = nudges[rng.index(std::size(nudges))];
+                release = std::max(now, now + ms(static_cast<double>(rng.index(12))) + nudge);
+                round_nudged = round_nudged || nudge != 0;
             }
             TaskUid uid = j + 1;
             if (j > 0 && rng.bernoulli(0.05)) {
                 uid = items[rng.index(items.size())].uid;
                 round_repeated = true;
             }
-            const Time deadline = release + static_cast<double>(1 + rng.index(4 * count + 4));
+            const Time deadline = release + ms(static_cast<double>(1 + rng.index(4 * count + 4)));
             items.push_back(item(uid, duration, deadline, release));
         }
         const std::size_t reservations = rng.bernoulli(0.3) ? 1 + rng.index(2) : 0;
         for (std::size_t r = 0; r < reservations; ++r) {
             ScheduleItem window;
             window.uid = kReservedUidBase + r;
-            window.release = now + static_cast<double>(rng.index(15)) +
+            window.release = now + ms(static_cast<double>(rng.index(15))) +
                              nudges[rng.index(std::size(nudges))] * (rng.bernoulli(0.5) ? 1 : 0);
             window.release = std::max(now, window.release);
-            window.duration = static_cast<double>(1 + rng.index(3));
+            window.duration = ms(static_cast<double>(1 + rng.index(3)));
             window.abs_deadline = window.release + window.duration;
             window.reserved = true;
             items.insert(items.begin() + static_cast<std::ptrdiff_t>(rng.index(items.size() + 1)),
@@ -892,8 +892,8 @@ TEST(EdfDifferential, SortedDispatchMatchesQuadraticLoop) {
         const bool head = gpu && rng.bernoulli(0.3);
         if (head)
             items.insert(items.begin() + static_cast<std::ptrdiff_t>(rng.index(items.size() + 1)),
-                         item(1000, static_cast<double>(1 + rng.index(4)),
-                              now + static_cast<double>(1 + rng.index(20)), now,
+                         item(1000, ms(static_cast<double>(1 + rng.index(4))),
+                              now + ms(static_cast<double>(1 + rng.index(20))), now,
                               /*pinned=*/true));
 
         const QuadraticEdf expected = quadratic_edf(resource, now, items);
@@ -905,19 +905,19 @@ TEST(EdfDifferential, SortedDispatchMatchesQuadraticLoop) {
             const Segment& a = actual.timeline.segments[k];
             const Segment& e = expected.segments[k];
             EXPECT_EQ(a.uid, e.uid) << "round " << round << " segment " << k;
-            EXPECT_TRUE(same_bits(a.start, e.start) && same_bits(a.end, e.end))
+            EXPECT_TRUE(a.start == e.start && a.end == e.end)
                 << "round " << round << " segment " << k;
         }
         ASSERT_EQ(completion.size(), expected.completion.size()) << "round " << round;
         for (std::size_t k = 0; k < completion.size(); ++k) {
             EXPECT_EQ(completion[k].uid, expected.completion[k].uid) << "round " << round;
-            EXPECT_TRUE(same_bits(completion[k].time, expected.completion[k].time))
+            EXPECT_TRUE(completion[k].time == expected.completion[k].time)
                 << "round " << round << " completion " << k;
         }
         EXPECT_EQ(resource_feasible(resource, now, items), expected.feasible) << "round " << round;
 
         std::size_t zero_length = 0;
-        for (const ScheduleItem& it : items) zero_length += it.duration <= 0.0 ? 1 : 0;
+        for (const ScheduleItem& it : items) zero_length += it.duration <= 0 ? 1 : 0;
         if (expected.segments.size() > items.size() - zero_length) ++preempted;
         reserved += reservations > 0 ? 1 : 0;
         pinned += head ? 1 : 0;

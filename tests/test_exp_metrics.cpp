@@ -143,8 +143,8 @@ TEST(Runner, TraceSetIsSharedAndDeterministic) {
     for (std::size_t t = 0; t < 4; ++t) {
         ASSERT_EQ(runner_a.traces()[t].size(), runner_b.traces()[t].size());
         for (std::size_t j = 0; j < runner_a.traces()[t].size(); ++j)
-            EXPECT_DOUBLE_EQ(runner_a.traces()[t].request(j).arrival,
-                             runner_b.traces()[t].request(j).arrival);
+            EXPECT_EQ(runner_a.traces()[t].request(j).arrival,
+                      runner_b.traces()[t].request(j).arrival);
     }
 }
 

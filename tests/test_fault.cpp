@@ -47,8 +47,8 @@ TEST(FaultGeneration, DeterministicGivenSeed) {
     params.permanent_prob = 0.3;
 
     Rng rng_a(123), rng_b(123);
-    const FaultSchedule a = generate_fault_schedule(world.platform, params, 2000.0, rng_a);
-    const FaultSchedule b = generate_fault_schedule(world.platform, params, 2000.0, rng_b);
+    const FaultSchedule a = generate_fault_schedule(world.platform, params, ms(2000.0), rng_a);
+    const FaultSchedule b = generate_fault_schedule(world.platform, params, ms(2000.0), rng_b);
     ASSERT_GT(a.size(), 0u);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t k = 0; k < a.size(); ++k) {
@@ -63,7 +63,7 @@ TEST(FaultGeneration, DeterministicGivenSeed) {
 TEST(FaultGeneration, ZeroParamsMeanNoFaults) {
     const MiniWorld world;
     Rng rng(7);
-    EXPECT_TRUE(generate_fault_schedule(world.platform, FaultParams{}, 1000.0, rng).empty());
+    EXPECT_TRUE(generate_fault_schedule(world.platform, FaultParams{}, ms(1000.0), rng).empty());
 }
 
 TEST(FaultGeneration, MinOnlineIsRespectedAtEveryInstant) {
@@ -74,7 +74,7 @@ TEST(FaultGeneration, MinOnlineIsRespectedAtEveryInstant) {
     params.permanent_prob = 0.8;
     params.min_online = 2;
     Rng rng(99);
-    const FaultSchedule schedule = generate_fault_schedule(world.platform, params, 3000.0, rng);
+    const FaultSchedule schedule = generate_fault_schedule(world.platform, params, ms(3000.0), rng);
     ASSERT_GT(schedule.size(), 0u);
 
     // The offline count is piecewise constant with breakpoints at event
@@ -91,25 +91,25 @@ TEST(FaultGeneration, MinOnlineIsRespectedAtEveryInstant) {
 TEST(FaultSchedule, HealthAtAppliesOfflineAndWorstThrottle) {
     const MiniWorld world;
     const FaultSchedule schedule(std::vector<FaultEvent>{
-        {FaultKind::outage, 0, 10.0, 20.0, 1.0},
-        {FaultKind::throttle, 0, 5.0, 30.0, 2.0},
-        {FaultKind::throttle, 0, 15.0, 25.0, 3.0},
+        {FaultKind::outage, 0, ms(10.0), ms(20.0), 1.0},
+        {FaultKind::throttle, 0, ms(5.0), ms(30.0), 2.0},
+        {FaultKind::throttle, 0, ms(15.0), ms(25.0), 3.0},
     });
 
-    PlatformHealth at5 = schedule.health_at(world.platform, 5.0);
+    PlatformHealth at5 = schedule.health_at(world.platform, ms(5.0));
     EXPECT_TRUE(at5.online(0));
     EXPECT_DOUBLE_EQ(at5.throttle(0), 2.0);
 
-    PlatformHealth at12 = schedule.health_at(world.platform, 12.0);
+    PlatformHealth at12 = schedule.health_at(world.platform, ms(12.0));
     EXPECT_FALSE(at12.online(0));
 
     // Intervals are half-open: at t=20 the outage is over, and the two
     // overlapping throttles resolve to the harsher factor.
-    PlatformHealth at20 = schedule.health_at(world.platform, 20.0);
+    PlatformHealth at20 = schedule.health_at(world.platform, ms(20.0));
     EXPECT_TRUE(at20.online(0));
     EXPECT_DOUBLE_EQ(at20.throttle(0), 3.0);
 
-    PlatformHealth at30 = schedule.health_at(world.platform, 30.0);
+    PlatformHealth at30 = schedule.health_at(world.platform, ms(30.0));
     EXPECT_TRUE(at30.all_nominal());
     EXPECT_EQ(at30.online_physical_count(world.platform), 3u);
 }
@@ -149,7 +149,7 @@ TEST(PlanInstanceHealth, OfflineResourcesExcludedAndThrottleInflatesCpm) {
     ActiveTask candidate;
     candidate.uid = 7;
     candidate.type = 0;
-    candidate.absolute_deadline = 100.0;
+    candidate.absolute_deadline = ms(100.0);
 
     ArrivalContext context;
     context.platform = &world.platform;
@@ -161,9 +161,9 @@ TEST(PlanInstanceHealth, OfflineResourcesExcludedAndThrottleInflatesCpm) {
     ASSERT_EQ(instance.tasks.size(), 1u);
     const PlanTask& task = instance.tasks[0];
     EXPECT_EQ(task.executable, (std::vector<ResourceId>{0, 1}));
-    EXPECT_DOUBLE_EQ(task.cpm[0], 16.0); // 8 x factor 2
-    EXPECT_DOUBLE_EQ(task.cpm[1], 12.0);
-    EXPECT_FALSE(std::isfinite(task.cpm[2]));
+    EXPECT_EQ(task.cpm[0], ms(16)); // 8 x factor 2
+    EXPECT_EQ(task.cpm[1], ms(12));
+    EXPECT_EQ(task.cpm[2], kNever);
 }
 
 // ---- the rescue protocol ----
@@ -178,11 +178,11 @@ FaultSchedule gpu_outage_at(Time onset, Time recovery) {
 
 TEST(Rescue, HeuristicRescuesDisplacedGpuTaskAndRestartsIt) {
     const MiniWorld world;
-    const Trace trace({Request{0.0, 0, 100.0}});
+    const Trace trace({Request{0, 0, ms(100.0)}});
     HeuristicRM rm;
     NullPredictor off;
     SimOptions options;
-    const FaultSchedule faults = gpu_outage_at(2.5, 50.0);
+    const FaultSchedule faults = gpu_outage_at(ms(2.5), ms(50.0));
     options.fault_schedule = &faults;
     const TraceResult r = simulate_trace(world.platform, world.catalog, trace, rm, off, options);
 
@@ -206,11 +206,11 @@ TEST(Rescue, HeuristicRescuesDisplacedGpuTaskAndRestartsIt) {
 
 TEST(Rescue, BaselineAbortsWhatHeuristicRescues) {
     const MiniWorld world;
-    const Trace trace({Request{0.0, 0, 100.0}});
+    const Trace trace({Request{0, 0, ms(100.0)}});
     BaselineRM rm;
     NullPredictor off;
     SimOptions options;
-    const FaultSchedule faults = gpu_outage_at(2.5, 50.0);
+    const FaultSchedule faults = gpu_outage_at(ms(2.5), ms(50.0));
     options.fault_schedule = &faults;
     const TraceResult r = simulate_trace(world.platform, world.catalog, trace, rm, off, options);
 
@@ -230,12 +230,12 @@ TEST(Rescue, ThrottleDoomsPinnedTaskWhenDeadlineUnreachable) {
     // Deadline 6: the GPU plan (5 ms) fits.  At t=2.5 a x4 throttle makes
     // the remaining 2.5 ms of work take 10 ms — unreachable, and the task
     // is pinned to the GPU, so the rescue must abort it.
-    const Trace trace({Request{0.0, 0, 6.0}});
+    const Trace trace({Request{0, 0, ms(6.0)}});
     HeuristicRM rm;
     NullPredictor off;
     SimOptions options;
     const FaultSchedule faults(
-        std::vector<FaultEvent>{{FaultKind::throttle, 2, 2.5, 50.0, 4.0}});
+        std::vector<FaultEvent>{{FaultKind::throttle, 2, ms(2.5), ms(50.0), 4.0}});
     options.fault_schedule = &faults;
     const TraceResult r = simulate_trace(world.platform, world.catalog, trace, rm, off, options);
 
@@ -250,12 +250,12 @@ TEST(Rescue, MildThrottleStretchesExecutionButTaskStillMeetsDeadline) {
     const MiniWorld world;
     // x1.5 at t=2.5: the remaining 2.5 ms of GPU work takes 3.75 ms, so the
     // task completes at 6.25 — inside the 6.5 deadline, kept by the rescue.
-    const Trace trace({Request{0.0, 0, 6.5}});
+    const Trace trace({Request{0, 0, ms(6.5)}});
     HeuristicRM rm;
     NullPredictor off;
     SimOptions options;
     const FaultSchedule faults(
-        std::vector<FaultEvent>{{FaultKind::throttle, 2, 2.5, 50.0, 1.5}});
+        std::vector<FaultEvent>{{FaultKind::throttle, 2, ms(2.5), ms(50.0), 1.5}});
     options.fault_schedule = &faults;
     const TraceResult r = simulate_trace(world.platform, world.catalog, trace, rm, off, options);
 

@@ -34,9 +34,9 @@ struct ChaosConfig {
     std::size_t lookahead = 1;
     double type_accuracy = 1.0;
     double time_nrmse = 0.0;
-    double overhead = 0.0;
+    double overhead = 0.0; ///< ms
     double execution_factor = 1.0;
-    double activation_period = 0.0;
+    double activation_period = 0.0; ///< ms
     int rm = 0; // 0 heuristic, 1 exact, 2 baseline
     FaultParams fault; // fault injection (all-zero = fault-free)
 };
@@ -90,25 +90,25 @@ TraceResult run_chaos(const ChaosConfig& config) {
     const Trace trace = generate_trace(catalog, params, trace_rng);
 
     const ReservationTable reservations(
-        {CriticalTask{"ctrl", platform.size() - 1, 30.0, 0.0, 6.0, 1.0},
-         CriticalTask{"mon", 0, 50.0, 5.0, 8.0, 0.5}});
+        {CriticalTask{"ctrl", platform.size() - 1, ms(30.0), 0, ms(6.0), 1.0},
+         CriticalTask{"mon", 0, ms(50.0), ms(5.0), ms(8.0), 0.5}});
 
     PredictorSpec spec;
     spec.kind = PredictorSpec::Kind::noisy;
     spec.type_accuracy = config.type_accuracy;
     spec.time_nrmse = config.time_nrmse;
-    spec.overhead = config.overhead;
+    spec.overhead = ms(config.overhead);
     const auto predictor = make_predictor(spec, catalog, Rng(config.seed).derive(3));
 
     SimOptions options;
     options.lookahead = config.lookahead;
     options.execution_time_factor_min = config.execution_factor;
     options.execution_seed = config.seed;
-    options.activation_period = config.activation_period;
+    options.activation_period = ms(config.activation_period);
 
     FaultSchedule faults;
     if (config.fault.any()) {
-        Time horizon = 0.0;
+        Time horizon = 0;
         for (const Request& request : trace)
             horizon = std::max(horizon, request.absolute_deadline());
         Rng fault_rng = Rng(config.seed).derive(4);

@@ -38,13 +38,13 @@ struct LookaheadWorld {
 TEST(PredictHorizon, OracleReturnsTruthInOrder) {
     const LookaheadWorld world;
     OraclePredictor oracle;
-    const auto horizon = oracle.predict_horizon(world.trace, 5, 0.0, 4);
+    const auto horizon = oracle.predict_horizon(world.trace, 5, 0, 4);
     ASSERT_EQ(horizon.size(), 4u);
     for (std::size_t k = 0; k < 4; ++k) {
         const Request& truth = world.trace.request(5 + 1 + k);
         EXPECT_EQ(horizon[k].type, truth.type);
-        EXPECT_DOUBLE_EQ(horizon[k].arrival, truth.arrival);
-        EXPECT_DOUBLE_EQ(horizon[k].relative_deadline, truth.relative_deadline);
+        EXPECT_EQ(horizon[k].arrival, truth.arrival);
+        EXPECT_EQ(horizon[k].relative_deadline, truth.relative_deadline);
     }
     // Nearest first, nondecreasing arrivals.
     for (std::size_t k = 1; k < horizon.size(); ++k)
@@ -55,21 +55,21 @@ TEST(PredictHorizon, TruncatesAtTraceEnd) {
     const LookaheadWorld world;
     OraclePredictor oracle;
     const std::size_t last = world.trace.size() - 1;
-    EXPECT_TRUE(oracle.predict_horizon(world.trace, last, 0.0, 3).empty());
-    EXPECT_EQ(oracle.predict_horizon(world.trace, last - 2, 0.0, 5).size(), 2u);
+    EXPECT_TRUE(oracle.predict_horizon(world.trace, last, 0, 3).empty());
+    EXPECT_EQ(oracle.predict_horizon(world.trace, last - 2, 0, 5).size(), 2u);
 }
 
 TEST(PredictHorizon, DefaultWrapsPredictNext) {
     const LookaheadWorld world;
     // NullPredictor uses the default implementation.
     NullPredictor null;
-    EXPECT_TRUE(null.predict_horizon(world.trace, 0, 0.0, 3).empty());
+    EXPECT_TRUE(null.predict_horizon(world.trace, 0, 0, 3).empty());
 }
 
 TEST(PredictHorizon, DepthZeroIsEmpty) {
     const LookaheadWorld world;
     OraclePredictor oracle;
-    EXPECT_TRUE(oracle.predict_horizon(world.trace, 0, 0.0, 0).empty());
+    EXPECT_TRUE(oracle.predict_horizon(world.trace, 0, 0, 0).empty());
 }
 
 TEST(PredictHorizon, NoisyAppliesIndependentNoisePerStep) {
@@ -78,7 +78,7 @@ TEST(PredictHorizon, NoisyAppliesIndependentNoisePerStep) {
     std::size_t hits = 0;
     std::size_t total = 0;
     for (std::size_t j = 0; j + 4 < world.trace.size(); j += 3) {
-        const auto horizon = predictor.predict_horizon(world.trace, j, 0.0, 3);
+        const auto horizon = predictor.predict_horizon(world.trace, j, 0, 3);
         ASSERT_EQ(horizon.size(), 3u);
         for (std::size_t k = 0; k < 3; ++k) {
             ++total;
@@ -93,7 +93,7 @@ TEST(PredictHorizon, OnlineRollsOutTheChain) {
     // A deterministic cyclic type stream the chain can learn.
     std::vector<Request> requests;
     for (std::size_t j = 0; j < 200; ++j)
-        requests.push_back(Request{static_cast<Time>(j) * 6.0, j % 4, 30.0});
+        requests.push_back(Request{static_cast<Time>(j) * ms(6), j % 4, ms(30.0)});
     const Trace trace(std::move(requests));
 
     OnlinePredictor predictor(world.catalog);
@@ -104,20 +104,20 @@ TEST(PredictHorizon, OnlineRollsOutTheChain) {
     EXPECT_EQ(horizon[1].type, (150 + 2) % 4);
     EXPECT_EQ(horizon[2].type, (150 + 3) % 4);
     // Arrivals step by the learned gap (~6).
-    EXPECT_NEAR(horizon[1].arrival - horizon[0].arrival, 6.0, 0.5);
+    EXPECT_NEAR(to_ms(horizon[1].arrival - horizon[0].arrival), 6.0, 0.5);
 }
 
 TEST(MultiPredictedPlanning, InstanceCarriesAllSteps) {
     const LookaheadWorld world;
     ArrivalContext context;
-    context.now = 0.0;
+    context.now = 0;
     context.platform = &world.platform;
     context.catalog = &world.catalog;
     context.candidate.uid = 1;
     context.candidate.type = 0;
-    context.candidate.absolute_deadline = 200.0;
-    context.predicted = {PredictedTask{1, 10.0, 50.0}, PredictedTask{2, 20.0, 60.0},
-                         PredictedTask{3, 30.0, 70.0}};
+    context.candidate.absolute_deadline = ms(200.0);
+    context.predicted = {PredictedTask{1, ms(10.0), ms(50.0)}, PredictedTask{2, ms(20.0), ms(60.0)},
+                         PredictedTask{3, ms(30.0), ms(70.0)}};
 
     const PlanInstance all = PlanInstance::build(context, 3);
     EXPECT_EQ(all.tasks.size(), 4u);
@@ -139,13 +139,13 @@ TEST(MultiPredictedPlanning, LadderTrimsFurthestFirst) {
     // ladder must keep step 1 and still plan with prediction.
     const LookaheadWorld world;
     ArrivalContext context;
-    context.now = 0.0;
+    context.now = 0;
     context.platform = &world.platform;
     context.catalog = &world.catalog;
     context.candidate.uid = 1;
     context.candidate.type = 0;
-    context.candidate.absolute_deadline = 500.0;
-    context.predicted = {PredictedTask{1, 10.0, 200.0}, PredictedTask{2, 12.0, 0.001}};
+    context.candidate.absolute_deadline = ms(500.0);
+    context.predicted = {PredictedTask{1, ms(10.0), ms(200.0)}, PredictedTask{2, ms(12.0), ms(0.001)}};
 
     HeuristicRM rm;
     const Decision decision = rm.decide(context);
@@ -156,13 +156,13 @@ TEST(MultiPredictedPlanning, LadderTrimsFurthestFirst) {
 TEST(MultiPredictedPlanning, ExactHandlesSeveralPredictedTasks) {
     const LookaheadWorld world;
     ArrivalContext context;
-    context.now = 0.0;
+    context.now = 0;
     context.platform = &world.platform;
     context.catalog = &world.catalog;
     context.candidate.uid = 1;
     context.candidate.type = 0;
-    context.candidate.absolute_deadline = 300.0;
-    context.predicted = {PredictedTask{1, 5.0, 100.0}, PredictedTask{2, 10.0, 120.0}};
+    context.candidate.absolute_deadline = ms(300.0);
+    context.predicted = {PredictedTask{1, ms(5.0), ms(100.0)}, PredictedTask{2, ms(10.0), ms(120.0)}};
 
     const PlanInstance instance = PlanInstance::build(context, 2);
     const auto result = ExactRM::optimize(instance);

@@ -38,30 +38,31 @@ struct RandomCase {
             ActiveTask task;
             task.uid = j;
             task.type = rng.index(catalog.size());
-            task.arrival = 0.0;
-            task.absolute_deadline = rng.uniform(15.0, 150.0);
+            task.arrival = 0;
+            task.absolute_deadline = ms(rng.uniform(15.0, 150.0));
             const auto& executable = catalog.type(task.type).executable_resources();
             task.resource = executable[rng.index(executable.size())];
             if (rng.bernoulli(0.4)) {
                 task.started = true;
-                task.remaining_fraction = rng.uniform(0.3, 1.0);
+                task.remaining = scale_up(catalog.type(task.type).wcet(task.resource),
+                                          rng.uniform(0.3, 1.0));
                 if (!platform.resource(task.resource).preemptable()) task.pinned = true;
             }
             active.push_back(task);
         }
 
-        context.now = 2.0;
+        context.now = ms(2.0);
         context.platform = &platform;
         context.catalog = &catalog;
         context.active = active;
         context.candidate.uid = 50;
         context.candidate.type = rng.index(catalog.size());
-        context.candidate.arrival = 2.0;
-        context.candidate.absolute_deadline = 2.0 + rng.uniform(10.0, 100.0);
+        context.candidate.arrival = ms(2.0);
+        context.candidate.absolute_deadline = ms(2.0 + rng.uniform(10.0, 100.0));
         if (rng.bernoulli(0.6)) {
             context.predicted = {PredictedTask{rng.index(catalog.size()),
-                                               2.0 + rng.uniform(0.0, 8.0),
-                                               rng.uniform(8.0, 60.0)}};
+                                               ms(2.0 + rng.uniform(0.0, 8.0)),
+                                               ms(rng.uniform(8.0, 60.0))}};
         }
     }
 };
@@ -111,14 +112,14 @@ TEST(MilpRm, DecideMatchesMotivationalExample) {
     const Platform platform = make_motivational_platform();
 
     ArrivalContext context;
-    context.now = 0.0;
+    context.now = 0;
     context.platform = &platform;
     context.catalog = &catalog;
     context.candidate.uid = 0;
     context.candidate.type = 0;
-    context.candidate.arrival = 0.0;
-    context.candidate.absolute_deadline = 8.0;
-    context.predicted = {PredictedTask{1, 1.0, 5.0}};
+    context.candidate.arrival = 0;
+    context.candidate.absolute_deadline = ms(8.0);
+    context.predicted = {PredictedTask{1, ms(1.0), ms(5.0)}};
 
     MilpRM rm;
     const Decision decision = rm.decide(context);

@@ -36,10 +36,10 @@ namespace {
 
 TEST(TraceSink, RecordsEverythingBelowCapacity) {
     obs::TraceSink sink(16);
-    sink.emit(1.0, obs::EventKind::arrival, 7, 2, 42.0, 3);
+    sink.emit(ms(1), obs::EventKind::arrival, 7, 2, 42.0, 3);
     ASSERT_EQ(sink.events().size(), 1u);
     const obs::TraceEvent event = sink.events().front();
-    EXPECT_EQ(event.t_sim, 1.0);
+    EXPECT_EQ(event.t_sim, ms(1));
     EXPECT_EQ(event.kind, obs::EventKind::arrival);
     EXPECT_EQ(event.task, 7u);
     EXPECT_EQ(event.resource, 2);
@@ -53,14 +53,14 @@ TEST(TraceSink, RingWraparoundKeepsNewestOldestFirst) {
     obs::TraceSink sink(8);
     EXPECT_EQ(sink.capacity(), 8u);
     for (int i = 0; i < 20; ++i)
-        sink.emit(static_cast<double>(i), obs::EventKind::exec, static_cast<std::uint64_t>(i));
+        sink.emit(i, obs::EventKind::exec, static_cast<std::uint64_t>(i));
     EXPECT_EQ(sink.total_emitted(), 20u);
     EXPECT_EQ(sink.dropped(), 12u);
     const std::vector<obs::TraceEvent> events = sink.events();
     ASSERT_EQ(events.size(), 8u);
     // The retained window is the 8 newest events, oldest first: 12..19.
     for (std::size_t k = 0; k < events.size(); ++k) {
-        EXPECT_EQ(events[k].t_sim, static_cast<double>(12 + k));
+        EXPECT_EQ(events[k].t_sim, static_cast<Time>(12 + k));
         EXPECT_EQ(events[k].task, static_cast<std::uint64_t>(12 + k));
     }
 }
@@ -174,7 +174,7 @@ struct MiniWorld {
 /// Run scenario (a) of Fig 1 (tau_2 must be rejected) with a sink attached.
 std::vector<obs::TraceEvent> motivational_events(obs::TraceSink& sink, TraceResult* result_out) {
     const MiniWorld world;
-    const Trace trace({Request{0.0, 0, 8.0}, Request{1.0, 1, 5.0}});
+    const Trace trace({Request{0, 0, ms(8.0)}, Request{ms(1.0), 1, ms(5.0)}});
     HeuristicRM rm;
     NullPredictor off;
     SimOptions options;
@@ -214,7 +214,7 @@ TEST(GoldenEvents, MotivationalScenarioPinnedSequence) {
     // must be deliberate.
     struct Expected {
         obs::EventKind kind;
-        double t_sim;
+        double t_sim; // ms
         std::uint64_t task;
         std::int64_t resource;
         double detail;
@@ -244,7 +244,7 @@ TEST(GoldenEvents, MotivationalScenarioPinnedSequence) {
         const obs::TraceEvent& a = actual[k];
         const Expected& e = expected[k];
         EXPECT_EQ(a.kind, e.kind) << "event " << k << "\n" << dump(actual);
-        EXPECT_EQ(a.t_sim, e.t_sim) << "event " << k << "\n" << dump(actual);
+        EXPECT_EQ(a.t_sim, ms(e.t_sim)) << "event " << k << "\n" << dump(actual);
         EXPECT_EQ(a.task, e.task) << "event " << k << "\n" << dump(actual);
         EXPECT_EQ(a.resource, e.resource) << "event " << k << "\n" << dump(actual);
         EXPECT_EQ(a.detail, e.detail) << "event " << k << "\n" << dump(actual);
@@ -279,9 +279,9 @@ TEST(GoldenEvents, ReservationWindowEmitsPreemptEvent) {
                        std::vector<double>{7.3, kNotExecutable, kNotExecutable}, cm, em);
     const Catalog catalog(std::move(types));
 
-    const Trace trace({Request{0.0, 0, 30.0}});
+    const Trace trace({Request{0, 0, ms(30.0)}});
     const ReservationTable reservations(
-        {CriticalTask{"ctrl", 0, /*period=*/100.0, /*offset=*/2.0, /*duration=*/3.0, 1.0}});
+        {CriticalTask{"ctrl", 0, /*period=*/ms(100.0), /*offset=*/ms(2.0), /*duration=*/ms(3.0), 1.0}});
     HeuristicRM rm;
     NullPredictor off;
     obs::TraceSink sink;
@@ -298,16 +298,16 @@ TEST(GoldenEvents, ReservationWindowEmitsPreemptEvent) {
         if (event.kind == obs::EventKind::exec) exec_slices.push_back(event);
         if (event.kind == obs::EventKind::preempt) {
             ++preempts;
-            EXPECT_EQ(event.t_sim, 2.0);
+            EXPECT_EQ(event.t_sim, ms(2));
             EXPECT_EQ(event.task, 0u);
             EXPECT_EQ(event.resource, 0);
         }
     }
     EXPECT_EQ(preempts, 1u);
     ASSERT_EQ(exec_slices.size(), 2u);
-    EXPECT_EQ(exec_slices[0].t_sim, 0.0);
+    EXPECT_EQ(exec_slices[0].t_sim, 0);
     EXPECT_EQ(exec_slices[0].detail, 2.0);
-    EXPECT_EQ(exec_slices[1].t_sim, 5.0);
+    EXPECT_EQ(exec_slices[1].t_sim, ms(5));
     EXPECT_EQ(exec_slices[1].detail, 6.0);
     EXPECT_EQ(result.obs_metrics.counter_value("preempt"), 1u);
 }
@@ -361,10 +361,10 @@ TEST(Exporters, ChromeTraceDrawsFaultSpans) {
     // Synthetic stream: an outage with recovery and a permanent failure
     // without one (the span must run to the stream horizon).
     std::vector<obs::TraceEvent> events(4);
-    events[0] = {2.0, 0.0, obs::kNoTask, 0, 1.0, 0, obs::EventKind::fault_onset};
-    events[1] = {4.0, 0.0, obs::kNoTask, 0, 1.0, 0, obs::EventKind::fault_recovery};
-    events[2] = {5.0, 0.0, obs::kNoTask, 1, 1.0, 1, obs::EventKind::fault_onset};
-    events[3] = {9.0, 0.0, 3, 0, 1.5, 0, obs::EventKind::exec};
+    events[0] = {ms(2), 0.0, obs::kNoTask, 0, 1.0, 0, obs::EventKind::fault_onset};
+    events[1] = {ms(4), 0.0, obs::kNoTask, 0, 1.0, 0, obs::EventKind::fault_recovery};
+    events[2] = {ms(5), 0.0, obs::kNoTask, 1, 1.0, 1, obs::EventKind::fault_onset};
+    events[3] = {ms(9), 0.0, 3, 0, 1.5, 0, obs::EventKind::exec};
 
     std::ostringstream out;
     obs::write_chrome_trace(out, events, obs::ExportOptions{});
@@ -409,7 +409,7 @@ TEST(Exporters, JsonlRoundTripPreservesDeterministicFields) {
 
 TEST(Exporters, JsonlRoundTripCanCarryHostTime) {
     obs::TraceSink sink;
-    sink.emit(1.0, obs::EventKind::arrival, 0);
+    sink.emit(ms(1), obs::EventKind::arrival, 0);
     const std::vector<obs::TraceEvent> events = sink.events();
 
     obs::ExportOptions options;
@@ -562,7 +562,7 @@ TEST(ObsDifferential, EventStreamRecomputesTraceResultFigures) {
         for (std::size_t t = 0; t < traces.size(); ++t) {
             SCOPED_TRACE("trace " + std::to_string(t));
             const Trace& trace = traces[t];
-            Time horizon = 0.0;
+            Time horizon = 0;
             for (const Request& request : trace)
                 horizon = std::max(horizon, request.absolute_deadline());
             Rng fault_rng = Rng(seed).derive(200 + t);
@@ -571,7 +571,7 @@ TEST(ObsDifferential, EventStreamRecomputesTraceResultFigures) {
 
             HeuristicRM rm;
             PredictorSpec spec = noisy_predictor();
-            spec.overhead = 0.2; // overhead stalls make aborts reachable
+            spec.overhead = ms(0.2); // overhead stalls make aborts reachable
             const std::unique_ptr<Predictor> predictor =
                 make_predictor(spec, catalog, Rng(seed).derive(300 + t));
 

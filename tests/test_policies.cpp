@@ -36,12 +36,12 @@ struct CraftedWorld {
 TEST(BaselineRm, PlacesSingleTaskOnCheapestFeasibleResource) {
     const CraftedWorld world;
     ArrivalContext context;
-    context.now = 0.0;
+    context.now = 0;
     context.platform = &world.platform;
     context.catalog = &world.catalog;
     context.candidate.uid = 0;
     context.candidate.type = 0;
-    context.candidate.absolute_deadline = 100.0;
+    context.candidate.absolute_deadline = ms(100.0);
 
     BaselineRM rm;
     const Decision decision = rm.decide(context);
@@ -57,22 +57,22 @@ TEST(BaselineRm, CannotSaveTaskThatNeedsReplanning) {
     ActiveTask running;
     running.uid = 0;
     running.type = 0;
-    running.arrival = 0.0;
-    running.absolute_deadline = 15.0;
+    running.arrival = 0;
+    running.absolute_deadline = ms(15.0);
     running.resource = 0;
     running.started = true;
-    running.remaining_fraction = 0.9; // 1 ms executed
+    running.remaining = world.catalog.type(0).wcet(0) - ms(1); // 1 ms executed
     const std::vector<ActiveTask> active{running};
 
     ArrivalContext context;
-    context.now = 1.0;
+    context.now = ms(1.0);
     context.platform = &world.platform;
     context.catalog = &world.catalog;
     context.active = active;
     context.candidate.uid = 1;
     context.candidate.type = 1;
-    context.candidate.arrival = 1.0;
-    context.candidate.absolute_deadline = 11.0;
+    context.candidate.arrival = ms(1.0);
+    context.candidate.absolute_deadline = ms(11.0);
 
     BaselineRM baseline;
     EXPECT_FALSE(baseline.decide(context).admitted);
@@ -140,7 +140,7 @@ TEST(PeriodicActivation, QueueingDelayConsumesSlack) {
     // activation period the decision waits until t=8; 8 + 3 > 8.5: rejected.
     const Platform platform = make_motivational_platform();
     const Catalog catalog = table1_catalog();
-    const Trace trace({Request{5.0, 1, 3.5}});
+    const Trace trace({Request{ms(5.0), 1, ms(3.5)}});
 
     HeuristicRM rm;
     NullPredictor off_a;
@@ -148,7 +148,7 @@ TEST(PeriodicActivation, QueueingDelayConsumesSlack) {
     EXPECT_EQ(immediate.accepted, 1u);
 
     SimOptions options;
-    options.activation_period = 4.0;
+    options.activation_period = ms(4.0);
     NullPredictor off_b;
     const TraceResult batched =
         simulate_trace(platform, catalog, trace, rm, off_b, options);
@@ -161,12 +161,12 @@ TEST(PeriodicActivation, BatchesShareOneActivation) {
     const Platform platform = make_motivational_platform();
     const Catalog catalog = table1_catalog();
     const Trace trace(
-        {Request{1.0, 0, 100.0}, Request{2.0, 1, 100.0}, Request{3.0, 0, 100.0}});
+        {Request{ms(1.0), 0, ms(100.0)}, Request{ms(2.0), 1, ms(100.0)}, Request{ms(3.0), 0, ms(100.0)}});
 
     HeuristicRM rm;
     NullPredictor off;
     SimOptions options;
-    options.activation_period = 10.0;
+    options.activation_period = ms(10.0);
     const TraceResult result = simulate_trace(platform, catalog, trace, rm, off, options);
     EXPECT_EQ(result.activations, 1u);
     EXPECT_EQ(result.accepted, 3u);
@@ -186,7 +186,7 @@ TEST(PeriodicActivation, InvariantsHoldOnRealisticWorkloads) {
     for (const double period : {3.0, 6.0, 12.0}) {
         OraclePredictor oracle;
         SimOptions options;
-        options.activation_period = period;
+        options.activation_period = ms(period);
         const TraceResult result =
             simulate_trace(platform, catalog, trace, rm, oracle, options);
         EXPECT_EQ(result.deadline_misses, 0u);
@@ -210,7 +210,7 @@ TEST(PeriodicActivation, BatchingCostsAcceptanceWithoutOverhead) {
     const TraceResult immediate = simulate_trace(platform, catalog, trace, rm, off_a);
 
     SimOptions options;
-    options.activation_period = 12.0; // 2x the mean interarrival
+    options.activation_period = ms(12.0); // 2x the mean interarrival
     NullPredictor off_b;
     const TraceResult batched =
         simulate_trace(platform, catalog, trace, rm, off_b, options);

@@ -45,29 +45,29 @@ TEST(Oracle, ReturnsGroundTruth) {
         ASSERT_TRUE(predicted.has_value());
         const Request& next = setup.trace.request(j + 1);
         EXPECT_EQ(predicted->type, next.type);
-        EXPECT_DOUBLE_EQ(predicted->arrival, next.arrival);
-        EXPECT_DOUBLE_EQ(predicted->relative_deadline, next.relative_deadline);
+        EXPECT_EQ(predicted->arrival, next.arrival);
+        EXPECT_EQ(predicted->relative_deadline, next.relative_deadline);
     }
 }
 
 TEST(Oracle, NoPredictionAtEndOfTrace) {
     const PredictWorld setup;
     OraclePredictor oracle;
-    EXPECT_FALSE(oracle.predict_next(setup.trace, setup.trace.size() - 1, 0.0).has_value());
+    EXPECT_FALSE(oracle.predict_next(setup.trace, setup.trace.size() - 1, 0).has_value());
 }
 
 TEST(Oracle, ClampsArrivalToNow) {
     const PredictWorld setup;
     OraclePredictor oracle;
-    const Time late_now = setup.trace.request(1).arrival + 100.0;
+    const Time late_now = setup.trace.request(1).arrival + ms(100);
     const auto predicted = oracle.predict_next(setup.trace, 0, late_now);
     ASSERT_TRUE(predicted.has_value());
-    EXPECT_DOUBLE_EQ(predicted->arrival, late_now);
+    EXPECT_EQ(predicted->arrival, late_now);
 }
 
 TEST(Oracle, OverheadPassthrough) {
-    OraclePredictor oracle(0.25);
-    EXPECT_DOUBLE_EQ(oracle.overhead(), 0.25);
+    OraclePredictor oracle(ms(0.25));
+    EXPECT_EQ(oracle.overhead(), ms(0.25));
 }
 
 TEST(Noisy, TypeAccuracyIsCalibrated) {
@@ -77,7 +77,7 @@ TEST(Noisy, TypeAccuracyIsCalibrated) {
     std::size_t hits = 0;
     std::size_t total = 0;
     for (std::size_t j = 0; j + 1 < setup.trace.size(); ++j) {
-        const auto predicted = predictor.predict_next(setup.trace, j, 0.0);
+        const auto predicted = predictor.predict_next(setup.trace, j, 0);
         ASSERT_TRUE(predicted.has_value());
         ++total;
         if (predicted->type == setup.trace.request(j + 1).type) ++hits;
@@ -90,7 +90,7 @@ TEST(Noisy, WrongTypeIsNeverTheTruth) {
     const PredictWorld setup;
     NoisyPredictor predictor(setup.catalog, 0.0, 0.0, Rng(100));
     for (std::size_t j = 0; j + 1 < 300; ++j) {
-        const auto predicted = predictor.predict_next(setup.trace, j, 0.0);
+        const auto predicted = predictor.predict_next(setup.trace, j, 0);
         ASSERT_TRUE(predicted.has_value());
         EXPECT_NE(predicted->type, setup.trace.request(j + 1).type);
     }
@@ -103,15 +103,15 @@ TEST(Noisy, ArrivalNrmseIsCalibrated) {
     std::vector<double> predicted_times;
     std::vector<double> actual_times;
     for (std::size_t j = 0; j + 1 < setup.trace.size(); ++j) {
-        const auto predicted = predictor.predict_next(setup.trace, j, 0.0);
+        const auto predicted = predictor.predict_next(setup.trace, j, 0);
         ASSERT_TRUE(predicted.has_value());
-        predicted_times.push_back(predicted->arrival);
-        actual_times.push_back(setup.trace.request(j + 1).arrival);
+        predicted_times.push_back(to_ms(predicted->arrival));
+        actual_times.push_back(to_ms(setup.trace.request(j + 1).arrival));
     }
     // Sec 5.4 definition: RMSE over the trace normalised by the mean
     // interarrival time.
     const double realized =
-        rmse(predicted_times, actual_times) / setup.trace.mean_interarrival();
+        rmse(predicted_times, actual_times) / to_ms(std::llround(setup.trace.mean_interarrival()));
     EXPECT_NEAR(realized, dialed, 0.03);
 }
 
@@ -119,10 +119,9 @@ TEST(Noisy, DeadlineStaysTruthful) {
     const PredictWorld setup;
     NoisyPredictor predictor(setup.catalog, 0.5, 0.5, Rng(102));
     for (std::size_t j = 0; j + 1 < 100; ++j) {
-        const auto predicted = predictor.predict_next(setup.trace, j, 0.0);
+        const auto predicted = predictor.predict_next(setup.trace, j, 0);
         ASSERT_TRUE(predicted.has_value());
-        EXPECT_DOUBLE_EQ(predicted->relative_deadline,
-                         setup.trace.request(j + 1).relative_deadline);
+        EXPECT_EQ(predicted->relative_deadline, setup.trace.request(j + 1).relative_deadline);
     }
 }
 
@@ -140,8 +139,8 @@ TEST(Noisy, ArrivalNeverBeforeNow) {
 TEST(Null, NeverPredicts) {
     const PredictWorld setup;
     NullPredictor predictor;
-    EXPECT_FALSE(predictor.predict_next(setup.trace, 0, 0.0).has_value());
-    EXPECT_DOUBLE_EQ(predictor.overhead(), 0.0);
+    EXPECT_FALSE(predictor.predict_next(setup.trace, 0, 0).has_value());
+    EXPECT_EQ(predictor.overhead(), 0);
 }
 
 TEST(TwoPhaseEstimator, ConvergesOnUnimodalStream) {
@@ -201,11 +200,11 @@ TEST(Online, LearnsPatternedStream) {
     // type accuracy.
     const PredictWorld setup;
     std::vector<Request> requests;
-    Time arrival = 0.0;
+    Time arrival = 0;
     Rng rng(9);
     for (std::size_t j = 0; j < 600; ++j) {
-        if (j > 0) arrival += rng.gaussian_above(6.0, 1.0, 0.5);
-        requests.push_back(Request{arrival, j % 5, 30.0});
+        if (j > 0) arrival += ms(rng.gaussian_above(6.0, 1.0, 0.5));
+        requests.push_back(Request{arrival, j % 5, ms(30.0)});
     }
     const Trace trace(std::move(requests));
 
@@ -222,7 +221,7 @@ TEST(Online, ColdStartYieldsNoPrediction) {
     const PredictWorld setup;
     OnlinePredictor predictor(setup.catalog);
     predictor.observe(setup.trace, 0);
-    EXPECT_FALSE(predictor.predict_next(setup.trace, 0, 0.0).has_value());
+    EXPECT_FALSE(predictor.predict_next(setup.trace, 0, 0).has_value());
 }
 
 TEST(Factory, BuildsEveryKind) {

@@ -23,7 +23,7 @@ namespace {
 const Resource kCpu(0, ResourceKind::cpu, "CPU");
 const Resource kGpu(1, ResourceKind::gpu, "GPU");
 
-ScheduleItem adaptive(TaskUid uid, double duration, Time deadline, Time release = 0.0) {
+ScheduleItem adaptive(TaskUid uid, Time duration, Time deadline, Time release = 0) {
     ScheduleItem it;
     it.uid = uid;
     it.release = release;
@@ -38,12 +38,12 @@ Time completion_at(const std::vector<TaskCompletion>& completion, TaskUid uid) {
                                  [uid](const TaskCompletion& entry) { return entry.uid == uid; });
     if (it == completion.end()) {
         ADD_FAILURE() << "task " << uid << " has no completion";
-        return -1.0;
+        return -1;
     }
     return it->time;
 }
 
-ScheduleItem block(TaskUid uid, Time start, double duration) {
+ScheduleItem block(TaskUid uid, Time start, Time duration) {
     ScheduleItem it;
     it.uid = kReservedUidBase + uid;
     it.release = start;
@@ -66,52 +66,52 @@ TEST(ReservedUid, Classification) {
 // ---- table expansion ----
 
 TEST(ReservationTable, ExpandsPeriodicWindows) {
-    const ReservationTable table({CriticalTask{"ctrl", 0, /*period=*/10.0, /*offset=*/2.0,
-                                               /*duration=*/3.0, /*energy=*/1.0}});
-    const auto blocks = table.blocks_for(0, 0.0, 25.0);
+    const ReservationTable table({CriticalTask{"ctrl", 0, /*period=*/ms(10.0), /*offset=*/ms(2.0),
+                                               /*duration=*/ms(3.0), /*energy=*/1.0}});
+    const auto blocks = table.blocks_for(0, 0, ms(25.0));
     ASSERT_EQ(blocks.size(), 3u);
-    EXPECT_DOUBLE_EQ(blocks[0].release, 2.0);
-    EXPECT_DOUBLE_EQ(blocks[0].duration, 3.0);
-    EXPECT_DOUBLE_EQ(blocks[1].release, 12.0);
-    EXPECT_DOUBLE_EQ(blocks[2].release, 22.0);
+    EXPECT_EQ(blocks[0].release, ms(2.0));
+    EXPECT_EQ(blocks[0].duration, ms(3.0));
+    EXPECT_EQ(blocks[1].release, ms(12.0));
+    EXPECT_EQ(blocks[2].release, ms(22.0));
     for (const auto& b : blocks) {
         EXPECT_TRUE(b.reserved);
         EXPECT_TRUE(is_reserved_uid(b.uid));
-        EXPECT_DOUBLE_EQ(b.abs_deadline, b.release + b.duration);
+        EXPECT_EQ(b.abs_deadline, b.release + b.duration);
     }
     // Uids are stable and distinct across instances.
     EXPECT_NE(blocks[0].uid, blocks[1].uid);
-    const auto again = table.blocks_for(0, 0.0, 25.0);
+    const auto again = table.blocks_for(0, 0, ms(25.0));
     EXPECT_EQ(again[1].uid, blocks[1].uid);
 }
 
 TEST(ReservationTable, ClipsInProgressWindow) {
-    const ReservationTable table({CriticalTask{"ctrl", 0, 10.0, 0.0, 4.0, 1.0}});
-    const auto blocks = table.blocks_for(0, 1.5, 6.0);
+    const ReservationTable table({CriticalTask{"ctrl", 0, ms(10.0), 0, ms(4.0), 1.0}});
+    const auto blocks = table.blocks_for(0, ms(1.5), ms(6.0));
     ASSERT_EQ(blocks.size(), 1u);
-    EXPECT_DOUBLE_EQ(blocks[0].release, 1.5);
-    EXPECT_DOUBLE_EQ(blocks[0].duration, 2.5); // remaining part of [0, 4)
-    EXPECT_DOUBLE_EQ(blocks[0].abs_deadline, 4.0);
+    EXPECT_EQ(blocks[0].release, ms(1.5));
+    EXPECT_EQ(blocks[0].duration, ms(2.5)); // remaining part of [0, 4)
+    EXPECT_EQ(blocks[0].abs_deadline, ms(4.0));
 }
 
 TEST(ReservationTable, NoBlocksForOtherResources) {
-    const ReservationTable table({CriticalTask{"ctrl", 1, 10.0, 0.0, 4.0, 1.0}});
-    EXPECT_TRUE(table.blocks_for(0, 0.0, 100.0).empty());
-    EXPECT_EQ(table.blocks_for(1, 0.0, 100.0).size(), 10u);
+    const ReservationTable table({CriticalTask{"ctrl", 1, ms(10.0), 0, ms(4.0), 1.0}});
+    EXPECT_TRUE(table.blocks_for(0, 0, ms(100.0)).empty());
+    EXPECT_EQ(table.blocks_for(1, 0, ms(100.0)).size(), 10u);
 }
 
 TEST(ReservationTable, UtilizationAndValidation) {
-    const ReservationTable table({CriticalTask{"a", 0, 10.0, 0.0, 2.0, 1.0},
-                                  CriticalTask{"b", 0, 20.0, 5.0, 4.0, 1.0}});
+    const ReservationTable table({CriticalTask{"a", 0, ms(10.0), 0, ms(2.0), 1.0},
+                                  CriticalTask{"b", 0, ms(20.0), ms(5.0), ms(4.0), 1.0}});
     EXPECT_DOUBLE_EQ(table.utilization_of(0), 0.4);
     EXPECT_DOUBLE_EQ(table.utilization_of(1), 0.0);
 
-    EXPECT_THROW(ReservationTable({CriticalTask{"", 0, 10.0, 0.0, 1.0, 1.0}}),
+    EXPECT_THROW(ReservationTable({CriticalTask{"", 0, ms(10.0), 0, ms(1.0), 1.0}}),
                  precondition_error); // empty name
-    EXPECT_THROW(ReservationTable({CriticalTask{"x", 0, 10.0, 0.0, 11.0, 1.0}}),
+    EXPECT_THROW(ReservationTable({CriticalTask{"x", 0, ms(10.0), 0, ms(11.0), 1.0}}),
                  precondition_error); // duration > period
-    EXPECT_THROW(ReservationTable({CriticalTask{"x", 0, 10.0, 0.0, 6.0, 1.0},
-                                   CriticalTask{"y", 0, 10.0, 0.0, 6.0, 1.0}}),
+    EXPECT_THROW(ReservationTable({CriticalTask{"x", 0, ms(10.0), 0, ms(6.0), 1.0},
+                                   CriticalTask{"y", 0, ms(10.0), 0, ms(6.0), 1.0}}),
                  precondition_error); // over-utilised resource
 }
 
@@ -120,24 +120,24 @@ TEST(ReservationTable, UtilizationAndValidation) {
 TEST(ReservedEdf, PreemptsAdaptiveTaskOnCpu) {
     // Adaptive task [0, 8) with a reservation [3, 5): the task splits and
     // finishes at 10.
-    const std::vector<ScheduleItem> items{adaptive(1, 8.0, 20.0), block(0, 3.0, 2.0)};
+    const std::vector<ScheduleItem> items{adaptive(1, ms(8.0), ms(20.0)), block(0, ms(3.0), ms(2.0))};
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const auto result = schedule_resource(kCpu, 0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 10.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 0), 5.0);
+    EXPECT_EQ(completion_at(completion, 1), ms(10.0));
+    EXPECT_EQ(completion_at(completion, kReservedUidBase + 0), ms(5.0));
     ASSERT_EQ(result.timeline.segments.size(), 3u);
-    EXPECT_DOUBLE_EQ(result.timeline.segments[1].start, 3.0); // reservation exactly on time
-    EXPECT_DOUBLE_EQ(result.timeline.segments[1].end, 5.0);
+    EXPECT_EQ(result.timeline.segments[1].start, ms(3.0)); // reservation exactly on time
+    EXPECT_EQ(result.timeline.segments[1].end, ms(5.0));
 }
 
 TEST(ReservedEdf, ReservationBeatsEarlierDeadlineTask) {
     // Even a tighter-deadline adaptive task cannot displace a reservation.
-    const std::vector<ScheduleItem> items{adaptive(1, 4.0, 6.0), block(0, 0.0, 3.0)};
+    const std::vector<ScheduleItem> items{adaptive(1, ms(4.0), ms(6.0)), block(0, 0, ms(3.0))};
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 0), 3.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 7.0);
+    const auto result = schedule_resource(kCpu, 0, items, &completion);
+    EXPECT_EQ(completion_at(completion, kReservedUidBase + 0), ms(3.0));
+    EXPECT_EQ(completion_at(completion, 1), ms(7.0));
     EXPECT_FALSE(result.feasible); // the adaptive task misses: 7 > 6
 }
 
@@ -145,32 +145,32 @@ TEST(ReservedEdf, NonPreemptableDispatchBlocksOverlappingTask) {
     // GPU: a 6-unit task must not start at 0 because the reservation at 4
     // would be overrun; a 3-unit task fits.  The long task waits until the
     // window ends.
-    const std::vector<ScheduleItem> items{adaptive(1, 6.0, 30.0), adaptive(2, 3.0, 25.0),
-                                          block(0, 4.0, 2.0)};
+    const std::vector<ScheduleItem> items{adaptive(1, ms(6.0), ms(30.0)), adaptive(2, ms(3.0), ms(25.0)),
+                                          block(0, ms(4.0), ms(2.0))};
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kGpu, 0.0, items, &completion);
+    const auto result = schedule_resource(kGpu, 0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 3.0); // fits before the window
-    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 0), 6.0); // on time
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 12.0); // after the window
+    EXPECT_EQ(completion_at(completion, 2), ms(3.0)); // fits before the window
+    EXPECT_EQ(completion_at(completion, kReservedUidBase + 0), ms(6.0)); // on time
+    EXPECT_EQ(completion_at(completion, 1), ms(12.0)); // after the window
 }
 
 TEST(ReservedEdf, NonPreemptableIdlesWhenNothingFits) {
-    const std::vector<ScheduleItem> items{adaptive(1, 6.0, 30.0), block(0, 4.0, 2.0)};
+    const std::vector<ScheduleItem> items{adaptive(1, ms(6.0), ms(30.0)), block(0, ms(4.0), ms(2.0))};
     std::vector<TaskCompletion> completion;
-    const auto result = schedule_resource(kGpu, 0.0, items, &completion);
+    const auto result = schedule_resource(kGpu, 0, items, &completion);
     EXPECT_TRUE(result.feasible);
     // The GPU idles [0, 4), runs the reservation, then the task.
-    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 0), 6.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 12.0);
+    EXPECT_EQ(completion_at(completion, kReservedUidBase + 0), ms(6.0));
+    EXPECT_EQ(completion_at(completion, 1), ms(12.0));
 }
 
 TEST(ReservedEdf, PinnedOverrunMakesReservationLate) {
     // A pinned task [0, 5) overlaps a reservation at 3: the reservation is
     // late, so the schedule is infeasible — the caller must handle it.
-    std::vector<ScheduleItem> items{adaptive(1, 5.0, 30.0), block(0, 3.0, 2.0)};
+    std::vector<ScheduleItem> items{adaptive(1, ms(5.0), ms(30.0)), block(0, ms(3.0), ms(2.0))};
     items[0].pinned_first = true;
-    const auto result = schedule_resource(kGpu, 0.0, items);
+    const auto result = schedule_resource(kGpu, 0, items);
     EXPECT_FALSE(result.feasible);
 }
 
@@ -191,8 +191,8 @@ struct ReservedWorld {
         : catalog(make_catalog(platform)),
           // A 40 %-utilisation control loop on the GPU plus a 25 % monitor
           // on CPU1.
-          reservations({CriticalTask{"gpu-ctrl", 5, 20.0, 0.0, 8.0, 3.0},
-                        CriticalTask{"cpu-mon", 0, 40.0, 10.0, 10.0, 2.0}}) {}
+          reservations({CriticalTask{"gpu-ctrl", 5, ms(20.0), 0, ms(8.0), 3.0},
+                        CriticalTask{"cpu-mon", 0, ms(40.0), ms(10.0), ms(10.0), 2.0}}) {}
 };
 
 TEST(ReservedRm, HeuristicRespectsBlockedGpu) {
@@ -200,15 +200,15 @@ TEST(ReservedRm, HeuristicRespectsBlockedGpu) {
     // A GPU-urgent task arriving right before the reserved window cannot be
     // promised the GPU during [0, 8); its only chance is after.
     ArrivalContext context;
-    context.now = 0.0;
+    context.now = 0;
     context.platform = &world.platform;
     context.catalog = &world.catalog;
     context.reservations = &world.reservations;
     context.candidate.uid = 1;
     context.candidate.type = 0;
-    context.candidate.arrival = 0.0;
-    const double gpu_wcet = world.catalog.type(0).wcet(5);
-    context.candidate.absolute_deadline = 8.0 + gpu_wcet * 1.1; // fits only after the window
+    context.candidate.arrival = 0;
+    const Time gpu_wcet = world.catalog.type(0).wcet(5);
+    context.candidate.absolute_deadline = ms(8) + scale_down(gpu_wcet, 1.1); // fits only after the window
 
     HeuristicRM heuristic;
     const Decision decision = heuristic.decide(context);
@@ -226,15 +226,15 @@ TEST(ReservedRm, HeuristicRespectsBlockedGpu) {
 TEST(ReservedRm, ExactAndHeuristicRejectWhenReservationsLeaveNoRoom) {
     const ReservedWorld world;
     ArrivalContext context;
-    context.now = 0.0;
+    context.now = 0;
     context.platform = &world.platform;
     context.catalog = &world.catalog;
     context.reservations = &world.reservations;
     context.candidate.uid = 1;
     context.candidate.type = 0;
-    context.candidate.arrival = 0.0;
+    context.candidate.arrival = 0;
     // Deadline inside the reserved GPU window and far below any CPU WCET.
-    context.candidate.absolute_deadline = 5.0;
+    context.candidate.absolute_deadline = ms(5.0);
 
     HeuristicRM heuristic;
     ExactRM exact;
@@ -300,7 +300,7 @@ TEST(ReservedSimulation2, CriticalEnergyMatchesExecutedWindows) {
     const Platform platform = make_paper_platform();
     Rng rng = Rng(500).derive(1);
     const Catalog catalog = generate_catalog(platform, CatalogParams{}, rng);
-    const ReservationTable table({CriticalTask{"ctrl", 0, 25.0, 0.0, 5.0, 2.0}});
+    const ReservationTable table({CriticalTask{"ctrl", 0, ms(25.0), 0, ms(5.0), 2.0}});
 
     TraceGenParams params;
     params.length = 40;

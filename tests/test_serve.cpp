@@ -13,6 +13,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -159,7 +160,7 @@ TEST(CsvSources, FileSourceSeekReplaysWithoutDuplicateWarnings) {
     EXPECT_EQ(source.parse_errors(), 1u);
     const auto request = source.next();
     ASSERT_TRUE(request.has_value());
-    EXPECT_DOUBLE_EQ(request->arrival, 8.0);
+    EXPECT_EQ(request->arrival, ms(8));
 
     SourceCursor past;
     past.seq = 100;
@@ -219,7 +220,7 @@ TEST(Serve, OverloadSheddingIsDeterministicAndBounded) {
         config.max_arrivals = 800;
         // Decider slower than the ~6ms mean interarrival: the backlog
         // saturates and shedding must engage.
-        config.decision_cost = 9.0;
+        config.decision_cost = ms(9.0);
         config.max_pending = 5;
         return run_serve(world.platform, world.catalog, rm, predictor, nullptr, source, config);
     };
@@ -255,12 +256,12 @@ struct ServeRunParts {
 ServeConfig checkpoint_config() {
     ServeConfig config;
     config.monitor = false;
-    config.decision_cost = 0.4;
+    config.decision_cost = ms(0.4);
     config.max_pending = 6;
     config.faults.outage_rate = 0.3;
     config.faults.throttle_rate = 0.2;
     config.fault_seed = 17;
-    config.fault_chunk = 500.0;
+    config.fault_chunk = ms(500.0);
     config.sim.execution_seed = 21;
     config.sim.execution_time_factor_min = 0.7;
     return config;
@@ -318,7 +319,7 @@ TEST(ServeCheckpoint, ConfigurationMismatchIsRejected) {
 
     ServeRunParts reader;
     ServeConfig read_config = checkpoint_config();
-    read_config.decision_cost = 0.5; // differs from the snapshot's 0.4
+    read_config.decision_cost = ms(0.5); // differs from the snapshot's 0.4
     read_config.restore_path = checkpoint.path;
     EXPECT_THROW((void)run_serve(reader.world.platform, reader.world.catalog, reader.rm,
                                  reader.predictor, nullptr, reader.source, read_config),
@@ -343,11 +344,11 @@ TEST(OnlinePredictorCheckpoint, SaveRestoreRoundTripsTheModel) {
     ServeWorld world;
     OnlinePredictor original(world.catalog);
     Rng rng(31);
-    Time arrival = 0.0;
+    Time arrival = 0;
     for (int k = 0; k < 200; ++k) {
-        arrival += rng.uniform(2.0, 10.0);
+        arrival += ms(rng.uniform(2.0, 10.0));
         const auto type = static_cast<TaskTypeId>(rng.index(world.catalog.size()));
-        original.observe_arrival(Request{arrival, type, rng.uniform(20.0, 60.0)});
+        original.observe_arrival(Request{arrival, type, ms(rng.uniform(20.0, 60.0))});
     }
 
     std::stringstream snapshot;
@@ -500,7 +501,7 @@ TEST(SimEngineMemory, PendingEventPeakDoesNotGrowWithHistory) {
     // repetitions, so every repetition meets the same (empty) engine state.
     // Engine memory that is O(active set) then peaks at the same value over
     // 2N arrivals as over N; anything that grows with history does not.
-    constexpr Time kPeriod = 4096.0;
+    constexpr Time kPeriod = ms(4096);
     ASSERT_LT(block.request(block.size() - 1).absolute_deadline(), kPeriod);
     constexpr int kRepetitions = 4; // N = kRepetitions * block.size()
 
@@ -551,12 +552,12 @@ TEST(SimEngineCheckpoint, RestoreRejectsTaskWorkOutsideTheUnitInterval) {
     writer.save_stream(saved);
 
     // Layout: header, clock, resource count, one health line per resource,
-    // active count, then per task a header line and five numbers — the
-    // hidden work last.
+    // active count, then per task a header line, a line of integer ticks
+    // and the hidden work.
     std::vector<std::string> lines;
     std::istringstream split(saved.str());
     for (std::string line; std::getline(split, line);) lines.push_back(line);
-    const std::size_t work_line = 3 + world.platform.size() + 6;
+    const std::size_t work_line = 3 + world.platform.size() + 3;
     ASSERT_LT(work_line, lines.size());
 
     const auto restore = [&](const std::string& work) {
@@ -572,6 +573,97 @@ TEST(SimEngineCheckpoint, RestoreRejectsTaskWorkOutsideTheUnitInterval) {
     EXPECT_NO_THROW(restore(lines[work_line]));
     for (const char* bad : {"nan", "inf", "-0x1p-1", "0x1.8p+0"})
         EXPECT_THROW(restore(bad), std::runtime_error) << bad;
+}
+
+TEST(SimEngineCheckpoint, VersionOneSnapshotsAreRefusedByName) {
+    // Version 1 stored times as floating-point milliseconds; version 2
+    // stores integer ticks.  There is no second reader: a version-1
+    // snapshot is refused with an error naming both versions.
+    ServeWorld world;
+    HeuristicRM rm;
+    NullPredictor off;
+    SimEngine writer(world.platform, world.catalog, rm, off, nullptr, SimOptions{});
+    writer.begin_stream();
+    (void)writer.stream_arrival(Request{ms(1), 0, ms(500)}, 0, ms(1));
+    std::ostringstream saved;
+    writer.save_stream(saved);
+    std::string text = saved.str();
+    ASSERT_EQ(text.rfind("RMWP-SIM-ENGINE 2\n", 0), 0u);
+    text.replace(0, std::string("RMWP-SIM-ENGINE 2").size(), "RMWP-SIM-ENGINE 1");
+
+    SimEngine reader(world.platform, world.catalog, rm, off, nullptr, SimOptions{});
+    reader.begin_stream();
+    std::istringstream is(text);
+    try {
+        reader.restore_stream(is, nullptr);
+        FAIL() << "a version-1 snapshot was accepted";
+    } catch (const std::runtime_error& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+        EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+    }
+}
+
+TEST(ServeCheckpoint, VersionOneSnapshotsAreRefusedByName) {
+    TempFile checkpoint("serve_ckpt_version.txt");
+    ServeRunParts writer;
+    ServeConfig write_config = checkpoint_config();
+    write_config.max_arrivals = 300;
+    write_config.checkpoint_path = checkpoint.path;
+    write_config.checkpoint_every = 200;
+    (void)run_serve(writer.world.platform, writer.world.catalog, writer.rm, writer.predictor,
+                    nullptr, writer.source, write_config);
+
+    std::string text;
+    {
+        std::ifstream in(checkpoint.path);
+        text.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    ASSERT_EQ(text.rfind("RMWP-SERVE-CHECKPOINT 2\n", 0), 0u);
+    text.replace(0, std::string("RMWP-SERVE-CHECKPOINT 2").size(), "RMWP-SERVE-CHECKPOINT 1");
+    std::ofstream(checkpoint.path) << text;
+
+    ServeRunParts reader;
+    ServeConfig read_config = checkpoint_config();
+    read_config.restore_path = checkpoint.path;
+    try {
+        (void)run_serve(reader.world.platform, reader.world.catalog, reader.rm,
+                        reader.predictor, nullptr, reader.source, read_config);
+        FAIL() << "a version-1 snapshot was accepted";
+    } catch (const std::runtime_error& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+        EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+    }
+}
+
+TEST(ServeConfigDefaults, MillisecondDefaultsKeepTheirMeaning) {
+    // Defaults written in milliseconds must convert to the same durations
+    // in ticks: a fault chunk is 10 s, not 10 us.
+    const ServeConfig config;
+    EXPECT_EQ(config.fault_chunk, Time{10'000'000'000});
+    EXPECT_EQ(config.fault_chunk, ms(10'000));
+    EXPECT_LT(config.batch_window, 0); // batching off
+    EXPECT_EQ(config.decision_cost, 0);
+    EXPECT_EQ(config.max_sim_time, 0);
+    EXPECT_EQ(config.window, 0);
+    EXPECT_EQ(config.sim.activation_period, 0);
+    // Generator and fault parameters stay in milliseconds (doubles) and are
+    // converted where they are drawn.
+    EXPECT_EQ(SyntheticSourceParams{}.interarrival_mean, 6.0);
+    EXPECT_EQ(TraceGenParams{}.interarrival_mean, 6.0);
+    EXPECT_EQ(FaultParams{}.outage_duration_mean, 40.0);
+    EXPECT_EQ(FaultParams{}.throttle_duration_mean, 60.0);
+    // One synthetic gap is ~6 ms of ticks, not ~6 ticks.
+    SyntheticSourceParams params;
+    params.seed = 3;
+    ServeWorld world;
+    SyntheticArrivalSource source(world.catalog, params);
+    (void)source.next();
+    const auto second = source.next();
+    ASSERT_TRUE(second.has_value());
+    EXPECT_GT(second->arrival, ms(0.06));
+    EXPECT_LT(second->arrival, ms(60));
 }
 
 // ---- signal drain ----

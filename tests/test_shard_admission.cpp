@@ -66,12 +66,13 @@ Platform make_islands_platform(bool with_dvfs = true) {
     return builder.build();
 }
 
-ActiveTask task_of(TaskUid uid, TaskTypeId type, Time arrival, Time rel_deadline) {
+ActiveTask task_of(TaskUid uid, TaskTypeId type, double arrival_ms,
+                                 double rel_deadline_ms) {
     ActiveTask task;
     task.uid = uid;
     task.type = type;
-    task.arrival = arrival;
-    task.absolute_deadline = arrival + rel_deadline;
+    task.arrival = ms(arrival_ms);
+    task.absolute_deadline = ms(arrival_ms + rel_deadline_ms);
     return task;
 }
 
@@ -116,17 +117,17 @@ struct ShardWorld {
                 if (health.online(r)) online.push_back(r);
             if (online.empty()) continue; // its whole island is dark; skip
             ActiveTask task = task_of(j, type_id, 0.0, 0.0);
-            task.absolute_deadline = rng.uniform(15.0, 160.0);
+            task.absolute_deadline = ms(rng.uniform(15.0, 160.0));
             task.resource = online[rng.index(online.size())];
             if (rng.bernoulli(0.5)) {
                 task.started = true;
-                task.remaining_fraction = rng.uniform(0.2, 1.0);
+                task.remaining = scale_up(type.wcet(task.resource), rng.uniform(0.2, 1.0));
                 if (!platform.resource(task.resource).preemptable()) task.pinned = true;
             }
             active.push_back(task);
         }
 
-        context.now = 5.0;
+        context.now = ms(5.0);
         context.platform = &platform;
         context.catalog = &catalog;
         context.active = active;
@@ -135,8 +136,8 @@ struct ShardWorld {
         const std::size_t lookahead = rng.index(3); // 0-2 predicted requests
         for (std::size_t p = 0; p < lookahead; ++p)
             context.predicted.push_back(PredictedTask{rng.index(catalog.size()),
-                                                      5.0 + rng.uniform(0.0, 12.0),
-                                                      rng.uniform(8.0, 80.0)});
+                                                      ms(5.0 + rng.uniform(0.0, 12.0)),
+                                                      ms(rng.uniform(8.0, 80.0))});
     }
 
     /// A follow-up candidate arriving at the same instant as the first.
@@ -145,8 +146,8 @@ struct ShardWorld {
         item.candidate = task_of(uid, rng.index(catalog.size()), 5.0, rng.uniform(10.0, 120.0));
         if (rng.bernoulli(0.6))
             item.predicted = {PredictedTask{rng.index(catalog.size()),
-                                            5.0 + rng.uniform(0.0, 12.0),
-                                            rng.uniform(8.0, 80.0)}};
+                                            ms(5.0 + rng.uniform(0.0, 12.0)),
+                                            ms(rng.uniform(8.0, 80.0))}};
         return item;
     }
 
@@ -298,12 +299,12 @@ TEST(ShardDirected, CrossShardTieBreaksMatchSequential) {
     active[1].resource = 1;
 
     ArrivalContext context;
-    context.now = 0.0;
+    context.now = 0;
     context.platform = &platform;
     context.catalog = &catalog;
     context.active = active;
     context.candidate = task_of(100, 2, 0.0, 25.0);
-    context.predicted = {PredictedTask{1, 5.0, 30.0}}; // predicted in the *other* island
+    context.predicted = {PredictedTask{1, ms(5.0), ms(30.0)}}; // predicted in the *other* island
 
     for (const Kind kind : {Kind::heuristic, Kind::exact}) {
         const std::unique_ptr<ResourceManager> reference = make_rm(kind);
@@ -353,13 +354,13 @@ TEST(ShardDirected, SingleGroupPartitionFoldsToOneBucket) {
         for (std::size_t j = 0; j < task_count; ++j) {
             ActiveTask task = task_of(j, rng.index(catalog.size()), 0.0, 0.0);
             const TaskType& type = catalog.type(task.type);
-            task.absolute_deadline = rng.uniform(10.0, 120.0);
+            task.absolute_deadline = ms(rng.uniform(10.0, 120.0));
             task.resource =
                 type.executable_resources()[rng.index(type.executable_resources().size())];
             active.push_back(task);
         }
         ArrivalContext context;
-        context.now = 5.0;
+        context.now = ms(5.0);
         context.platform = &platform;
         context.catalog = &catalog;
         context.active = active;
@@ -459,9 +460,9 @@ std::vector<ScheduleItem> random_items(std::uint64_t seed, std::size_t count) {
     for (std::size_t k = 0; k < count; ++k) {
         ScheduleItem item;
         item.uid = k;
-        item.abs_deadline = 10.0 * static_cast<double>(1 + rng.index(4));
-        item.release = 2.0 * static_cast<double>(rng.index(3));
-        item.duration = rng.uniform(1.0, 5.0);
+        item.abs_deadline = ms(10.0 * static_cast<double>(1 + rng.index(4)));
+        item.release = ms(2.0 * static_cast<double>(rng.index(3)));
+        item.duration = ms(rng.uniform(1.0, 5.0));
         items.push_back(item);
     }
     rng.shuffle(items);
@@ -564,7 +565,7 @@ TEST(ShardServe, ShardedServiceIsBitIdenticalAndRecordsMergedLatency) {
         config.faults.outage_rate = 0.25;
         config.faults.throttle_rate = 0.2;
         config.fault_seed = 17;
-        config.fault_chunk = 500.0;
+        config.fault_chunk = ms(500.0);
         config.sim.execution_seed = 21;
         config.sim.execution_time_factor_min = 0.7;
         config.stage_stats_out = stats;

@@ -24,9 +24,9 @@ namespace {
 
 TEST(EventQueue, PopsInTimeOrder) {
     EventQueue queue;
-    queue.schedule(3.0, 0, 30);
-    queue.schedule(1.0, 0, 10);
-    queue.schedule(2.0, 0, 20);
+    queue.schedule(ms(3.0), 0, 30);
+    queue.schedule(ms(1.0), 0, 10);
+    queue.schedule(ms(2.0), 0, 20);
     EXPECT_EQ(queue.pop().payload, 10u);
     EXPECT_EQ(queue.pop().payload, 20u);
     EXPECT_EQ(queue.pop().payload, 30u);
@@ -35,29 +35,29 @@ TEST(EventQueue, PopsInTimeOrder) {
 
 TEST(EventQueue, SimultaneousEventsAreFifo) {
     EventQueue queue;
-    for (std::uint64_t i = 0; i < 5; ++i) queue.schedule(7.0, 0, i);
+    for (std::uint64_t i = 0; i < 5; ++i) queue.schedule(ms(7.0), 0, i);
     for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(queue.pop().payload, i);
 }
 
 TEST(EventQueue, PrecedesOrdersByTimeThenSequence) {
     EventQueue queue;
-    queue.schedule(2.0, 0, 1);
+    queue.schedule(ms(2.0), 0, 1);
     const std::uint64_t stamp = queue.next_sequence(); // a virtual event stamped here
-    queue.schedule(2.0, 0, 2);
-    EXPECT_TRUE(queue.precedes(3.0, stamp));
-    EXPECT_FALSE(queue.precedes(1.0, stamp));
-    EXPECT_TRUE(queue.precedes(2.0, stamp)); // scheduled before the stamp
+    queue.schedule(ms(2.0), 0, 2);
+    EXPECT_TRUE(queue.precedes(ms(3.0), stamp));
+    EXPECT_FALSE(queue.precedes(ms(1.0), stamp));
+    EXPECT_TRUE(queue.precedes(ms(2.0), stamp)); // scheduled before the stamp
     (void)queue.pop();
-    EXPECT_FALSE(queue.precedes(2.0, stamp)); // scheduled after it
+    EXPECT_FALSE(queue.precedes(ms(2.0), stamp)); // scheduled after it
     // Dispatches outside the queue seal the past too.
-    queue.mark_dispatched(2.5);
-    EXPECT_THROW(queue.schedule(2.4, 0, 3), precondition_error);
+    queue.mark_dispatched(ms(2.5));
+    EXPECT_THROW(queue.schedule(ms(2.4), 0, 3), precondition_error);
 }
 
 TEST(EventQueue, NextTimePeeks) {
     EventQueue queue;
-    queue.schedule(9.0, 0, 1);
-    EXPECT_DOUBLE_EQ(queue.next_time(), 9.0);
+    queue.schedule(ms(9.0), 0, 1);
+    EXPECT_EQ(queue.next_time(), ms(9));
     EXPECT_EQ(queue.scheduled_count(), 1u);
 }
 
@@ -104,7 +104,7 @@ TEST(CompletionCursor, FaultOnsetAtACompletionInstantKeepsHeapOrder) {
     GTEST_SKIP() << "observes dispatch order through the trace sink";
 #else
     const MiniWorld world;
-    const Request request{0.0, 0, 100.0};
+    const Request request{0, 0, ms(100)};
     // Execution-time variation makes every completion re-plan, so the
     // trace shows whether the completion or the onset was dispatched first.
     SimOptions options;
@@ -121,17 +121,17 @@ TEST(CompletionCursor, FaultOnsetAtACompletionInstantKeepsHeapOrder) {
         NullPredictor off;
         SimEngine engine(world.platform, world.catalog, rm, off, nullptr, traced);
         engine.begin_stream();
-        if (before_rebuild) engine.set_fault_schedule(faults, 0.0, true);
-        (void)engine.stream_arrival(request, 0, 0.0);
-        if (!before_rebuild) engine.set_fault_schedule(faults, 0.0, true);
+        if (before_rebuild) engine.set_fault_schedule(faults, 0, true);
+        (void)engine.stream_arrival(request, 0, 0);
+        if (!before_rebuild) engine.set_fault_schedule(faults, 0, true);
         (void)engine.finish_stream();
         return sink.events();
     };
 
-    Time completed_at = -1.0;
+    Time completed_at = -1;
     for (const obs::TraceEvent& event : run(nullptr, true))
         if (event.kind == obs::EventKind::complete) completed_at = event.t_sim;
-    ASSERT_GT(completed_at, 0.0);
+    ASSERT_GT(completed_at, 0);
 
     // A permanent outage of a CPU the task does not use, at exactly the
     // completion instant.
@@ -153,15 +153,13 @@ TEST(CompletionCursor, FaultOnsetAtACompletionInstantKeepsHeapOrder) {
 #endif
 }
 
-TEST(CompletionCursor, CompletionsWithinToleranceRetireWithoutStaleTails) {
+TEST(CompletionCursor, CompletionsOneTickApartRetireSeparately) {
     // Two CPUs, one task type (wcet 5 on either), migrations prohibitively
-    // expensive.  tau_1 arrives 0.5e-6 ms after tau_0 and cannot queue
-    // behind it (deadline 6), so the two complete on different CPUs 0.5e-6
-    // ms apart — inside the engine's 1e-6 ms completion tolerance.  tau_0's
-    // completion advances tau_1 to within tolerance and retires it, with
-    // no re-plan (no execution-time variation).  The retirement must cut
-    // tau_1's planned tail, or tau_1's own completion advances over a
-    // segment whose task no longer exists.
+    // expensive.  tau_1 arrives one tick after tau_0 and cannot queue
+    // behind it (deadline 6), so the two complete on different CPUs one
+    // tick apart.  tau_0's completion advances tau_1 to one tick short of
+    // its end without retiring it; tau_1's own completion, a tick later,
+    // does — with no re-plan in between (no execution-time variation).
     PlatformBuilder builder;
     builder.add_cpu("CPU1").add_cpu("CPU2");
     const Platform platform = builder.build();
@@ -171,7 +169,7 @@ TEST(CompletionCursor, CompletionsWithinToleranceRetireWithoutStaleTails) {
     types.emplace_back(0, std::vector<double>{5.0, 5.0}, std::vector<double>{1.0, 1.0},
                        migration, migration);
     const Catalog catalog(std::move(types));
-    const Trace trace({Request{0.0, 0, 6.0}, Request{5e-7, 0, 6.0}});
+    const Trace trace({Request{0, 0, ms(6.0)}, Request{1, 0, ms(6.0)}});
 
     HeuristicRM rm;
     NullPredictor off;
@@ -186,7 +184,7 @@ TEST(CompletionCursor, CompletionsWithinToleranceRetireWithoutStaleTails) {
 
 TEST(Simulator, SingleTaskConsumesExactlyItsEnergy) {
     const MiniWorld world;
-    const Trace trace({Request{0.0, 0, 100.0}});
+    const Trace trace({Request{0, 0, ms(100.0)}});
     HeuristicRM rm;
     NullPredictor off;
     const TraceResult result = simulate_trace(world.platform, world.catalog, trace, rm, off);
@@ -200,7 +198,7 @@ TEST(Simulator, SingleTaskConsumesExactlyItsEnergy) {
 
 TEST(Simulator, EmptyishTraceAndEndOfTrace) {
     const MiniWorld world;
-    const Trace trace({Request{0.0, 1, 50.0}});
+    const Trace trace({Request{0, 1, ms(50.0)}});
     ExactRM rm;
     OraclePredictor oracle;
     const TraceResult result = simulate_trace(world.platform, world.catalog, trace, rm, oracle);
@@ -213,7 +211,7 @@ TEST(Simulator, EmptyishTraceAndEndOfTrace) {
 TEST(Simulator, RejectionLeavesStateUntouched) {
     const MiniWorld world;
     // Scenario (a) of Fig 1: tau_2 must be rejected; tau_1 still completes.
-    const Trace trace({Request{0.0, 0, 8.0}, Request{1.0, 1, 5.0}});
+    const Trace trace({Request{0, 0, ms(8.0)}, Request{ms(1.0), 1, ms(5.0)}});
     HeuristicRM rm;
     NullPredictor off;
     const TraceResult result = simulate_trace(world.platform, world.catalog, trace, rm, off);
@@ -225,7 +223,7 @@ TEST(Simulator, RejectionLeavesStateUntouched) {
 
 TEST(Simulator, PredictionCausesReservationAndBothComplete) {
     const MiniWorld world;
-    const Trace trace({Request{0.0, 0, 8.0}, Request{1.0, 1, 5.0}});
+    const Trace trace({Request{0, 0, ms(8.0)}, Request{ms(1.0), 1, ms(5.0)}});
     HeuristicRM rm;
     OraclePredictor oracle;
     const TraceResult result = simulate_trace(world.platform, world.catalog, trace, rm, oracle);
@@ -247,7 +245,7 @@ TEST(Simulator, MigrationChargesEnergyAndOverhead) {
     //      tau_1 type 1 d=40 (arrives t=0.5) -> cheapest remaining is GPU
     //      after tau_0?  EDF would queue it; to force a CPU start and later
     //      migration we give it a deadline that allows requeueing.
-    const Trace trace({Request{0.0, 0, 9.0}, Request{0.5, 1, 40.0}});
+    const Trace trace({Request{0, 0, ms(9.0)}, Request{ms(0.5), 1, ms(40.0)}});
     HeuristicRM rm;
     NullPredictor off;
     const TraceResult result = simulate_trace(world.platform, world.catalog, trace, rm, off);
@@ -294,7 +292,7 @@ TEST(Simulator, OverheadStallCausesAbortsOnlyWithOverhead) {
     const TraceResult no_overhead = simulate_trace(platform, catalog, trace, rm, clean);
     EXPECT_EQ(no_overhead.aborted, 0u);
 
-    OraclePredictor costly(0.5); // 10 % of the mean interarrival
+    OraclePredictor costly(ms(0.5)); // 10 % of the mean interarrival
     const TraceResult with_overhead = simulate_trace(platform, catalog, trace, rm, costly);
     EXPECT_GT(with_overhead.aborted, 0u);
     EXPECT_GE(with_overhead.loss_percent(), with_overhead.rejection_percent());
@@ -311,7 +309,7 @@ TEST(Simulator, SlackOnlyOverheadModelNeverAborts) {
     const Trace trace = generate_trace(catalog, params, trace_rng);
 
     HeuristicRM rm;
-    OraclePredictor costly(0.5);
+    OraclePredictor costly(ms(0.5));
     SimOptions options;
     options.overhead_stalls_platform = false;
     const TraceResult result =
@@ -387,7 +385,7 @@ TEST(Simulator, PredictionNeverBreaksGuarantees) {
                                                                 Time now) override {
             if (index + 1 >= trace.size()) return std::nullopt;
             // Claim a huge task is about to arrive with a tiny deadline.
-            return PredictedTask{0, now + 0.1, 1.0};
+            return PredictedTask{0, now + ms(0.1), ms(1)};
         }
     };
 

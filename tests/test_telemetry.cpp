@@ -422,7 +422,7 @@ TEST(StageTimer, ServeDecisionsBitIdenticalWithProfilingOnVsOff) {
         ServeConfig config;
         config.monitor = false;
         config.max_arrivals = 800;
-        config.batch_window = 0.0; // exercise the batched path's prefilter too
+        config.batch_window = 0; // exercise the batched path's prefilter too
         config.stage_stats_out = stats_out;
         return run_serve(world.platform, world.catalog, rm, predictor, nullptr, source,
                          config);
@@ -513,7 +513,7 @@ TEST(TraceStream, RotatesShardsAndIndexRoundTrips) {
     obs::TraceStreamWriter writer(dir.path, options);
     for (int k = 0; k < 250; ++k) {
         obs::TraceEvent event;
-        event.t_sim = static_cast<double>(k);
+        event.t_sim = ms(static_cast<double>(k));
         event.kind = obs::EventKind::admit;
         event.task = static_cast<std::uint64_t>(k);
         event.resource = k % 4;
@@ -543,7 +543,7 @@ TEST(TraceStream, RotatesShardsAndIndexRoundTrips) {
         const std::vector<obs::TraceEvent> events = obs::read_events_jsonl(in);
         ASSERT_EQ(events.size(), shard.events);
         for (const obs::TraceEvent& event : events) {
-            EXPECT_EQ(event.t_sim, static_cast<double>(replayed));
+            EXPECT_EQ(event.t_sim, ms(static_cast<double>(replayed)));
             EXPECT_EQ(event.task, replayed);
             ++replayed;
         }
@@ -560,7 +560,7 @@ TEST(TraceStream, RejectsDegenerateBudgetsAndSinkForwards) {
     obs::TraceStreamWriter writer(dir.path);
     obs::TraceSink sink(8); // tiny ring: the stream must still see everything
     sink.set_stream(&writer);
-    for (int k = 0; k < 40; ++k) sink.emit(static_cast<double>(k), obs::EventKind::arrival, k);
+    for (int k = 0; k < 40; ++k) sink.emit(ms(k), obs::EventKind::arrival, k);
     sink.set_stream(nullptr);
     writer.finish();
     EXPECT_EQ(sink.dropped(), 32u);          // ring kept only the last 8
@@ -620,7 +620,7 @@ TEST(ServeTelemetry, LiveScrapeAndSigtermDrainKeepExpositionWellFormed) {
     config.telemetry_port_out = &port;
     // Slow the stream slightly in sim time so the run lasts until the stop
     // request regardless of scrape timing.
-    config.decision_cost = 0.5;
+    config.decision_cost = ms(0.5);
 
     ServeResult result;
     std::thread serving([&] {

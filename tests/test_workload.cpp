@@ -27,15 +27,15 @@ TaskType make_simple_type(TaskTypeId id = 0) {
 
 TEST(TaskType, AccessorsAndAverages) {
     const TaskType type = make_simple_type();
-    EXPECT_DOUBLE_EQ(type.wcet(0), 10.0);
+    EXPECT_EQ(type.wcet(0), ms(10));
     EXPECT_DOUBLE_EQ(type.energy(1), 2.0);
-    EXPECT_DOUBLE_EQ(type.mean_wcet(), 15.0);
+    EXPECT_EQ(type.mean_wcet(), ms(15));
     EXPECT_DOUBLE_EQ(type.mean_energy(), 3.5);
-    EXPECT_DOUBLE_EQ(type.min_wcet(), 10.0);
+    EXPECT_EQ(type.min_wcet(), ms(10));
     EXPECT_DOUBLE_EQ(type.min_energy(), 2.0);
-    EXPECT_DOUBLE_EQ(type.migration_time(0, 1), 3.0);
+    EXPECT_EQ(type.migration_time(0, 1), ms(3));
     EXPECT_DOUBLE_EQ(type.migration_energy(1, 0), 2.0);
-    EXPECT_DOUBLE_EQ(type.migration_time(0, 0), 0.0);
+    EXPECT_EQ(type.migration_time(0, 0), 0);
     EXPECT_EQ(type.executable_resources().size(), 2u);
 }
 
@@ -47,7 +47,7 @@ TEST(TaskType, NonExecutableResourceIsInfinite) {
     EXPECT_FALSE(type.executable_on(1));
     EXPECT_EQ(type.executable_resources(), std::vector<ResourceId>{0});
     // Averages ignore non-executable resources.
-    EXPECT_DOUBLE_EQ(type.mean_wcet(), 10.0);
+    EXPECT_EQ(type.mean_wcet(), ms(10));
 }
 
 TEST(TaskType, InconsistentExecutabilityThrows) {
@@ -86,19 +86,21 @@ TEST(CatalogGeneration, PaperStatistics) {
     for (const TaskType& type : catalog) {
         double cpu_wcet_sum = 0.0;
         for (ResourceId i = 0; i < 5; ++i) {
-            cpu_wcet.add(type.wcet(i));
+            cpu_wcet.add(to_ms(type.wcet(i)));
             cpu_energy.add(type.energy(i));
-            cpu_wcet_sum += type.wcet(i);
+            cpu_wcet_sum += to_ms(type.wcet(i));
         }
-        // GPU cost = CPU average / divisor with divisor in [2, 10].
-        const double implied = (cpu_wcet_sum / 5.0) / type.wcet(5);
+        // GPU cost = CPU average / divisor with divisor in [2, 10]; the
+        // energies carry it exactly.
+        double cpu_energy_sum = 0.0;
+        for (ResourceId i = 0; i < 5; ++i) cpu_energy_sum += type.energy(i);
+        const double implied = (cpu_energy_sum / 5.0) / type.energy(5);
         divisor.add(implied);
         EXPECT_GE(implied, 2.0 - 1e-9);
         EXPECT_LE(implied, 10.0 + 1e-9);
-        // The same divisor applies to energy.
-        double cpu_energy_sum = 0.0;
-        for (ResourceId i = 0; i < 5; ++i) cpu_energy_sum += type.energy(i);
-        EXPECT_NEAR((cpu_energy_sum / 5.0) / type.energy(5), implied, 1e-9);
+        // The WCETs carry the same divisor up to their rounding to whole
+        // nanosecond ticks.
+        EXPECT_NEAR((cpu_wcet_sum / 5.0) / to_ms(type.wcet(5)), implied, implied * 1e-6);
     }
     EXPECT_NEAR(cpu_wcet.mean(), 40.0, 0.5);
     EXPECT_NEAR(cpu_wcet.stddev(), 9.0, 0.5);
@@ -112,14 +114,15 @@ TEST(CatalogGeneration, MigrationOverheadFractions) {
     Rng rng(7);
     const Catalog catalog = generate_catalog(platform, CatalogParams{}, rng);
     for (const TaskType& type : catalog) {
-        const double time_frac = type.migration_time(0, 1) / type.mean_wcet();
+        const double time_frac = static_cast<double>(type.migration_time(0, 1)) /
+                                 static_cast<double>(type.mean_wcet());
         const double energy_frac = type.migration_energy(0, 1) / type.mean_energy();
-        EXPECT_GE(time_frac, 0.1 - 1e-9);
-        EXPECT_LE(time_frac, 0.2 + 1e-9);
+        EXPECT_GE(time_frac, 0.1 - 1e-6);
+        EXPECT_LE(time_frac, 0.2 + 1e-6);
         EXPECT_GE(energy_frac, 0.1 - 1e-9);
         EXPECT_LE(energy_frac, 0.2 + 1e-9);
         // Overhead is symmetric across pairs by construction.
-        EXPECT_DOUBLE_EQ(type.migration_time(0, 1), type.migration_time(4, 2));
+        EXPECT_EQ(type.migration_time(0, 1), type.migration_time(4, 2));
     }
 }
 
@@ -144,7 +147,7 @@ TEST(CatalogGeneration, DeterministicInSeed) {
     const Catalog b = generate_catalog(platform, CatalogParams{}, rng_b);
     for (std::size_t t = 0; t < a.size(); ++t)
         for (ResourceId i = 0; i < platform.size(); ++i)
-            EXPECT_DOUBLE_EQ(a.type(t).wcet(i), b.type(t).wcet(i));
+            EXPECT_EQ(a.type(t).wcet(i), b.type(t).wcet(i));
 }
 
 TEST(CatalogParams, ValidationRejectsNonsense) {
@@ -161,19 +164,19 @@ TEST(CatalogParams, ValidationRejectsNonsense) {
 }
 
 TEST(Trace, OrderingAndStats) {
-    const Trace trace({Request{0.0, 0, 5.0}, Request{2.0, 1, 3.0}, Request{6.0, 0, 4.0}});
+    const Trace trace({Request{0, 0, ms(5.0)}, Request{ms(2.0), 1, ms(3.0)}, Request{ms(6.0), 0, ms(4.0)}});
     EXPECT_EQ(trace.size(), 3u);
-    EXPECT_DOUBLE_EQ(trace.mean_interarrival(), 3.0);
-    EXPECT_DOUBLE_EQ(trace.horizon(), 10.0);
-    EXPECT_DOUBLE_EQ(trace.request(1).absolute_deadline(), 5.0);
+    EXPECT_DOUBLE_EQ(trace.mean_interarrival(), static_cast<double>(ms(3)));
+    EXPECT_EQ(trace.horizon(), ms(10));
+    EXPECT_EQ(trace.request(1).absolute_deadline(), ms(5.0));
 }
 
 TEST(Trace, RejectsUnorderedArrivals) {
-    EXPECT_THROW(Trace({Request{5.0, 0, 1.0}, Request{2.0, 0, 1.0}}), precondition_error);
+    EXPECT_THROW(Trace({Request{ms(5.0), 0, ms(1.0)}, Request{ms(2.0), 0, ms(1.0)}}), precondition_error);
 }
 
 TEST(Trace, RejectsNonPositiveDeadline) {
-    EXPECT_THROW(Trace({Request{0.0, 0, 0.0}}), precondition_error);
+    EXPECT_THROW(Trace({Request{0, 0, 0}}), precondition_error);
 }
 
 TEST(TraceGenerator, GroupCoefficients) {
@@ -201,11 +204,11 @@ TEST(TraceGenerator, InterarrivalStatistics) {
     ASSERT_EQ(trace.size(), 5000u);
     RunningStats gaps;
     for (std::size_t j = 1; j < trace.size(); ++j)
-        gaps.add(trace.request(j).arrival - trace.request(j - 1).arrival);
+        gaps.add(to_ms(trace.request(j).arrival - trace.request(j - 1).arrival));
     EXPECT_NEAR(gaps.mean(), 6.0, 0.15);
     EXPECT_NEAR(gaps.stddev(), 2.0, 0.15);
     EXPECT_GT(gaps.min(), 0.0);
-    EXPECT_DOUBLE_EQ(trace.request(0).arrival, 0.0);
+    EXPECT_EQ(trace.request(0).arrival, 0);
 }
 
 TEST(TraceGenerator, DeadlineIsRwcetTimesCoefficient) {
@@ -224,9 +227,12 @@ TEST(TraceGenerator, DeadlineIsRwcetTimesCoefficient) {
             const TaskType& type = catalog.type(request.type);
             bool matched = false;
             for (const ResourceId i : type.executable_resources()) {
-                const double coefficient = request.relative_deadline / type.wcet(i);
-                if (coefficient >= params.deadline_coefficient_min() - 1e-9 &&
-                    coefficient <= params.deadline_coefficient_max() + 1e-9)
+                // The deadline rounds down to a whole tick: at most one
+                // tick short of WCET x coefficient.
+                const auto deadline = static_cast<double>(request.relative_deadline);
+                const auto wcet = static_cast<double>(type.wcet(i));
+                if (deadline >= wcet * params.deadline_coefficient_min() - 1.0 &&
+                    deadline <= wcet * params.deadline_coefficient_max())
                     matched = true;
             }
             EXPECT_TRUE(matched) << "request deadline " << request.relative_deadline;
@@ -247,7 +253,7 @@ TEST(TraceGenerator, ChildStreamsIndependentOfCount) {
     for (std::size_t t = 0; t < 5; ++t) {
         ASSERT_EQ(five[t].size(), ten[t].size());
         for (std::size_t j = 0; j < five[t].size(); ++j) {
-            EXPECT_DOUBLE_EQ(five[t].request(j).arrival, ten[t].request(j).arrival);
+            EXPECT_EQ(five[t].request(j).arrival, ten[t].request(j).arrival);
             EXPECT_EQ(five[t].request(j).type, ten[t].request(j).type);
         }
     }
@@ -268,10 +274,9 @@ TEST(TraceIo, TraceRoundTripIsExact) {
 
     ASSERT_EQ(loaded.size(), original.size());
     for (std::size_t j = 0; j < original.size(); ++j) {
-        EXPECT_DOUBLE_EQ(loaded.request(j).arrival, original.request(j).arrival);
+        EXPECT_EQ(loaded.request(j).arrival, original.request(j).arrival);
         EXPECT_EQ(loaded.request(j).type, original.request(j).type);
-        EXPECT_DOUBLE_EQ(loaded.request(j).relative_deadline,
-                         original.request(j).relative_deadline);
+        EXPECT_EQ(loaded.request(j).relative_deadline, original.request(j).relative_deadline);
     }
 }
 
@@ -292,11 +297,10 @@ TEST(TraceIo, CatalogRoundTripIsExact) {
         for (ResourceId i = 0; i < platform.size(); ++i) {
             EXPECT_EQ(loaded.type(t).executable_on(i), original.type(t).executable_on(i));
             if (!original.type(t).executable_on(i)) continue;
-            EXPECT_DOUBLE_EQ(loaded.type(t).wcet(i), original.type(t).wcet(i));
+            EXPECT_EQ(loaded.type(t).wcet(i), original.type(t).wcet(i));
             EXPECT_DOUBLE_EQ(loaded.type(t).energy(i), original.type(t).energy(i));
             for (ResourceId k = 0; k < platform.size(); ++k) {
-                EXPECT_DOUBLE_EQ(loaded.type(t).migration_time(i, k),
-                                 original.type(t).migration_time(i, k));
+                EXPECT_EQ(loaded.type(t).migration_time(i, k), original.type(t).migration_time(i, k));
             }
         }
     }
@@ -321,7 +325,7 @@ TEST(TraceGenerator, TwoPhaseArrivalsAreBimodal) {
     std::size_t lull_like = 0;
     std::size_t between = 0;
     for (std::size_t j = 1; j < trace.size(); ++j) {
-        const double gap = trace.request(j).arrival - trace.request(j - 1).arrival;
+        const double gap = to_ms(trace.request(j).arrival - trace.request(j - 1).arrival);
         const double ratio = gap / params.interarrival_mean;
         if (ratio < 0.8) ++burst_like;
         else if (ratio > 1.4) ++lull_like;
@@ -378,7 +382,7 @@ TEST(TraceGenerator, DefaultsReproducePaperModel) {
     const Trace first = generate_trace(catalog, params, a);
     const Trace second = generate_trace(catalog, params, b);
     for (std::size_t j = 0; j < first.size(); ++j) {
-        EXPECT_DOUBLE_EQ(first.request(j).arrival, second.request(j).arrival);
+        EXPECT_EQ(first.request(j).arrival, second.request(j).arrival);
         EXPECT_EQ(first.request(j).type, second.request(j).type);
     }
 }
@@ -414,14 +418,25 @@ TEST(TraceIo, RejectsMalformedRowsWithDescriptiveErrors) {
     EXPECT_THROW(std::ignore = parse("0,0,-5\n"), std::runtime_error);       // negative deadline
     EXPECT_THROW(std::ignore = parse("0,0,0\n"), std::runtime_error);        // zero deadline
     EXPECT_THROW(std::ignore = parse("inf,0,5\n"), std::runtime_error);      // non-finite time
+    EXPECT_THROW(std::ignore = parse("nan,0,5\n"), std::runtime_error);      // non-finite time
+    EXPECT_THROW(std::ignore = parse("0,0,nan\n"), std::runtime_error);      // non-finite deadline
+    EXPECT_THROW(std::ignore = parse("1e13,0,5\n"), std::runtime_error);     // beyond the tick range
+    EXPECT_THROW(std::ignore = parse("9e12,0,3e11\n"), std::runtime_error);  // deadline overflows
+    EXPECT_THROW(std::ignore = parse("0,0,1e-7\n"), std::runtime_error);     // deadline below a tick
+    // The largest representable horizons still parse, exactly.
+    const Trace far = parse("9e12,0,1e11\n");
+    EXPECT_EQ(far.request(0).arrival, Time{9'000'000'000'000'000'000});
+    EXPECT_EQ(far.request(0).relative_deadline, Time{100'000'000'000'000'000});
     EXPECT_THROW(std::ignore = parse("5,0,5\n2,0,5\n"), std::runtime_error); // non-monotone
 
     // The error message names the offending line.
-    try {
-        std::ignore = parse("0,0,5\n-3,0,5\n");
-        FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error& error) {
-        EXPECT_NE(std::string(error.what()).find("line 3"), std::string::npos);
+    for (const std::string bad : {"-3,0,5", "nan,0,5", "9e12,0,3e11", "1e300,0,5"}) {
+        try {
+            std::ignore = parse("0,0,5\n" + bad + "\n");
+            FAIL() << "expected std::runtime_error for " << bad;
+        } catch (const std::runtime_error& error) {
+            EXPECT_NE(std::string(error.what()).find("line 3"), std::string::npos) << bad;
+        }
     }
 }
 
@@ -432,11 +447,15 @@ TEST(TraceIo, ValidateTraceRejectsUnknownTypeIds) {
     params.type_count = 10;
     const Catalog catalog = generate_catalog(platform, params, rng);
 
-    const Trace good({Request{0.0, 9, 5.0}});
+    const Trace good({Request{0, 9, ms(5.0)}});
     EXPECT_NO_THROW(validate_trace(good, catalog));
 
-    const Trace bad({Request{0.0, 10, 5.0}});
+    const Trace bad({Request{0, 10, ms(5.0)}});
     EXPECT_THROW(validate_trace(bad, catalog), std::runtime_error);
+
+    // A programmatic trace whose absolute deadline leaves the tick range.
+    const Trace overflowing({Request{kNever - ms(1), 0, ms(5.0)}});
+    EXPECT_THROW(validate_trace(overflowing, catalog), std::runtime_error);
 }
 
 } // namespace

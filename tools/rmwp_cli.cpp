@@ -141,6 +141,15 @@ namespace {
 
 using namespace rmwp;
 
+/// A millisecond value from the command line: finite and inside the tick
+/// range, or a runtime_error naming `what`.
+double parse_ms(const std::string& text, const std::string& what) {
+    const double value = std::stod(text);
+    if (!representable_ms(value))
+        throw std::runtime_error(what + " must be a finite number of milliseconds below ~9.2e12");
+    return value;
+}
+
 /// --key value argument map with typed accessors and strict checking.
 class Args {
 public:
@@ -167,6 +176,20 @@ public:
 
     [[nodiscard]] double number(const std::string& key, double fallback) {
         if (auto value = get(key)) return std::stod(*value);
+        return fallback;
+    }
+
+    /// A millisecond-valued option, checked by parse_ms.
+    [[nodiscard]] double milliseconds(const std::string& key, double fallback) {
+        if (auto value = get(key)) return parse_ms(*value, "--" + key);
+        return fallback;
+    }
+
+    /// A millisecond-valued option as ticks: instants round to the nearest
+    /// tick, durations up.
+    [[nodiscard]] Time ticks(const std::string& key, Time fallback,
+                             TickRounding rounding = TickRounding::nearest) {
+        if (auto value = get(key)) return to_ticks(parse_ms(*value, "--" + key), rounding);
         return fallback;
     }
 
@@ -216,8 +239,8 @@ int cmd_generate_trace(Args& args) {
     const std::string out = args.require("out");
     TraceGenParams params;
     params.length = static_cast<std::size_t>(args.integer("length", 500));
-    params.interarrival_mean = args.number("ia-mean", params.interarrival_mean);
-    params.interarrival_stddev = args.number("ia-stddev", params.interarrival_stddev);
+    params.interarrival_mean = args.milliseconds("ia-mean", params.interarrival_mean);
+    params.interarrival_stddev = args.milliseconds("ia-stddev", params.interarrival_stddev);
     if (auto group = args.get("group")) {
         if (*group == "VT") params.group = DeadlineGroup::very_tight;
         else if (*group == "LT") params.group = DeadlineGroup::less_tight;
@@ -230,7 +253,8 @@ int cmd_generate_trace(Args& args) {
     const Trace trace = generate_trace(catalog, params, rng);
     write_trace_csv_file(out, trace);
     std::cout << "wrote " << trace.size() << " requests (" << to_string(params.group)
-              << ", mean interarrival " << format_fixed(trace.mean_interarrival(), 2) << ") to "
+              << ", mean interarrival " << format_fixed(trace.mean_interarrival() / kTicksPerMs, 2)
+              << ") to "
               << out << '\n';
     return 0;
 }
@@ -285,11 +309,11 @@ ReservationTable parse_reservations(const std::optional<std::string>& spec,
         task.name = "critical" + std::to_string(tasks.size());
         try {
             task.resource = static_cast<ResourceId>(std::stoull(parts[0]));
-            task.period = std::stod(parts[1]);
-            task.offset = std::stod(parts[2]);
-            task.duration = std::stod(parts[3]);
+            task.period = to_ticks(parse_ms(parts[1], "--reserve period"), TickRounding::nearest);
+            task.offset = to_ticks(parse_ms(parts[2], "--reserve offset"), TickRounding::nearest);
+            task.duration = to_ticks(parse_ms(parts[3], "--reserve duration"), TickRounding::up);
             if (parts.size() == 5) task.energy_per_instance = std::stod(parts[4]);
-        } catch (const std::exception&) {
+        } catch (const std::logic_error&) {
             throw std::runtime_error("--reserve entry has an unparseable field: \"" + entry +
                                      "\"");
         }
@@ -324,19 +348,20 @@ int cmd_run(Args& args) {
     else throw std::runtime_error("--predictor must be off, oracle, noisy, or online");
     spec.type_accuracy = args.number("type-accuracy", 1.0);
     spec.time_nrmse = args.number("time-nrmse", 0.0);
-    spec.overhead = args.number("overhead", 0.0);
+    spec.overhead = args.ticks("overhead", 0, TickRounding::up);
     spec.lookahead = static_cast<std::size_t>(args.integer("lookahead", 1));
     const std::uint64_t seed = args.integer("seed", 42);
     const double exec_factor = args.number("exec-factor", 1.0);
-    const double activation_period = args.number("activation-period", 0.0);
+    const Time activation_period = args.ticks("activation-period", 0);
 
     FaultParams fault;
     fault.outage_rate = args.number("fault-outage-rate", 0.0);
-    fault.outage_duration_mean = args.number("fault-outage-duration", fault.outage_duration_mean);
+    fault.outage_duration_mean =
+        args.milliseconds("fault-outage-duration", fault.outage_duration_mean);
     fault.permanent_prob = args.number("fault-permanent-prob", 0.0);
     fault.throttle_rate = args.number("fault-throttle-rate", 0.0);
     fault.throttle_duration_mean =
-        args.number("fault-throttle-duration", fault.throttle_duration_mean);
+        args.milliseconds("fault-throttle-duration", fault.throttle_duration_mean);
     if (auto factor = args.get("fault-throttle-factor")) {
         fault.throttle_factor_min = fault.throttle_factor_max = std::stod(*factor);
     }
@@ -372,7 +397,7 @@ int cmd_run(Args& args) {
 
     FaultSchedule faults;
     if (fault.any()) {
-        Time horizon = 0.0;
+        Time horizon = 0;
         for (const Request& request : trace)
             horizon = std::max(horizon, request.absolute_deadline());
         Rng fault_rng(fault_seed);
@@ -479,7 +504,7 @@ int cmd_serve(Args& args) {
     else
         throw std::runtime_error("serve supports --predictor off or online (oracle and noisy "
                                  "need the whole trace up front)");
-    spec.overhead = args.number("overhead", 0.0);
+    spec.overhead = args.ticks("overhead", 0, TickRounding::up);
     spec.lookahead = static_cast<std::size_t>(args.integer("lookahead", 1));
     const std::uint64_t seed = args.integer("seed", 42);
 
@@ -498,8 +523,8 @@ int cmd_serve(Args& args) {
     } else {
         SyntheticSourceParams sp;
         sp.seed = args.integer("source-seed", seed);
-        sp.interarrival_mean = args.number("ia-mean", sp.interarrival_mean);
-        sp.interarrival_stddev = args.number("ia-stddev", sp.interarrival_stddev);
+        sp.interarrival_mean = args.milliseconds("ia-mean", sp.interarrival_mean);
+        sp.interarrival_stddev = args.milliseconds("ia-stddev", sp.interarrival_stddev);
         if (auto group = args.get("group")) {
             if (*group == "VT") sp.group = DeadlineGroup::very_tight;
             else if (*group == "LT") sp.group = DeadlineGroup::less_tight;
@@ -515,26 +540,26 @@ int cmd_serve(Args& args) {
     config.sim.lookahead = spec.lookahead;
     config.sim.execution_time_factor_min = args.number("exec-factor", 1.0);
     config.sim.execution_seed = seed;
-    config.decision_cost = args.number("decision-cost", 0.0);
+    config.decision_cost = args.ticks("decision-cost", 0, TickRounding::up);
     config.max_pending = static_cast<std::size_t>(args.integer("max-pending", 0));
-    config.batch_window = args.number("batch-window", -1.0);
+    config.batch_window = args.ticks("batch-window", -1);
     config.max_arrivals = args.integer("arrivals", 0);
-    config.max_sim_time = args.number("duration", 0.0);
+    config.max_sim_time = args.ticks("duration", 0);
     config.config_digest = source_digest;
 
     config.faults.outage_rate = args.number("fault-outage-rate", 0.0);
     config.faults.outage_duration_mean =
-        args.number("fault-outage-duration", config.faults.outage_duration_mean);
+        args.milliseconds("fault-outage-duration", config.faults.outage_duration_mean);
     config.faults.throttle_rate = args.number("fault-throttle-rate", 0.0);
     config.faults.throttle_duration_mean =
-        args.number("fault-throttle-duration", config.faults.throttle_duration_mean);
+        args.milliseconds("fault-throttle-duration", config.faults.throttle_duration_mean);
     if (auto factor = args.get("fault-throttle-factor")) {
         config.faults.throttle_factor_min = config.faults.throttle_factor_max =
             std::stod(*factor);
     }
     config.faults.min_online = static_cast<std::size_t>(args.integer("fault-min-online", 1));
     config.fault_seed = args.integer("fault-seed", seed);
-    config.fault_chunk = args.number("fault-chunk", config.fault_chunk);
+    config.fault_chunk = args.ticks("fault-chunk", config.fault_chunk);
     if (config.faults.outage_rate < 0.0 || config.faults.throttle_rate < 0.0 ||
         config.faults.outage_duration_mean <= 0.0 || config.faults.throttle_duration_mean <= 0.0)
         throw std::runtime_error("fault rates must be >= 0 and durations > 0");
@@ -554,7 +579,7 @@ int cmd_serve(Args& args) {
     config.limits.latency_p99_budget_us = args.number("latency-budget-us", 0.0);
     config.limits.expect_no_misses =
         args.integer("expect-no-misses", config.faults.any() ? 0 : 1) != 0;
-    config.window = args.number("window", 0.0);
+    config.window = args.ticks("window", 0);
     config.chaos_fake_miss_at = args.integer("chaos-fake-miss-at", 0);
 
     const std::optional<std::string> stats_json = args.get("stats-json");
@@ -767,14 +792,14 @@ int cmd_analyze(Args& args) {
     std::map<TaskTypeId, std::size_t> type_histogram;
     for (std::size_t j = 0; j < trace.size(); ++j) {
         if (j > 0)
-            gaps.add(trace.request(j).arrival - trace.request(j - 1).arrival);
+            gaps.add(to_ms(trace.request(j).arrival - trace.request(j - 1).arrival));
         ++type_histogram[trace.request(j).type];
     }
 
     Table table({"metric", "value"});
     table.row().cell("requests").cell(trace.size());
     table.row().cell("distinct types").cell(type_histogram.size());
-    table.row().cell("span (ms)").cell(trace.horizon(), 1);
+    table.row().cell("span (ms)").cell(to_ms(trace.horizon()), 1);
     table.row().cell("interarrival mean").cell(gaps.mean(), 3);
     table.row().cell("interarrival stddev").cell(gaps.stddev(), 3);
     table.row().cell("interarrival min/max").cell(
@@ -786,13 +811,15 @@ int cmd_analyze(Args& args) {
         double offered_load = 0.0;
         for (const Request& request : trace) {
             const TaskType& type = catalog.type(request.type);
-            tightness.add(request.relative_deadline / type.min_wcet());
-            offered_load += type.min_wcet();
+            tightness.add(static_cast<double>(request.relative_deadline) /
+                          static_cast<double>(type.min_wcet()));
+            offered_load += static_cast<double>(type.min_wcet());
         }
         table.row().cell("deadline / min-WCET mean").cell(tightness.mean(), 2);
         table.row().cell("deadline / min-WCET min").cell(tightness.min(), 2);
         table.row().cell("offered load (best case)").cell(
-            format_fixed(offered_load / trace.horizon(), 3) + " busy resources");
+            format_fixed(offered_load / static_cast<double>(trace.horizon()), 3) +
+            " busy resources");
     }
     table.print(std::cout);
     return 0;
