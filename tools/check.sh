@@ -51,6 +51,25 @@ else
             --decision-cost 0.5 --max-pending 8 \
             --checkpoint "$soak_dir/ckpt.txt" --checkpoint-every 10000 \
             --monitor-period 0.05 --rss-budget-mb 2048 >/dev/null
-    rm -rf "$soak_dir"
     echo "serve soak smoke: OK"
+
+    # Long-horizon leg: a VT trace (seed 7, 3000 requests, times on a
+    # 1/1024 ms grid) shifted by +1e12 ms (~32 years), through the batch
+    # runner and serve with execution-time variation.  Integer ticks must
+    # neither abort nor overflow there (UBSan halts on signed overflow).
+    "$build_dir/tools/rmwp_cli" generate-trace --catalog "$soak_dir/catalog.csv" \
+        --out "$soak_dir/trace.csv" --seed 7 --length 3000 --group VT >/dev/null
+    awk -F, 'NR == 1 { print; next }
+             { printf "%.17g,%s,%.17g\n", int($1 * 1024 + 0.5) / 1024 + 1e12, $2,
+                      int($3 * 1024 + 0.5) / 1024 }' \
+        "$soak_dir/trace.csv" > "$soak_dir/trace_far.csv"
+    for leg in "run --predictor oracle" "serve --predictor online"; do
+        # shellcheck disable=SC2086 # $leg is a subcommand plus its flags
+        ASAN_OPTIONS=halt_on_error=1:detect_leaks=1 \
+        UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+            "$build_dir/tools/rmwp_cli" $leg --catalog "$soak_dir/catalog.csv" \
+                --trace "$soak_dir/trace_far.csv" --rm heuristic --exec-factor 0.5 >/dev/null
+    done
+    rm -rf "$soak_dir"
+    echo "long-horizon (+1e12 ms) smoke: OK"
 fi
