@@ -9,14 +9,15 @@
 // burst sizes.  Sequential controls at selected burst sizes separate the
 // batching speedup from any workload effect of burstiness itself.
 //
-// E20 (ours) — sharded admission throughput rides in the same binary:
-// the islands platform whose partitioned catalog splits into four
-// independent resource groups (DESIGN.md §15), decided by the batched
-// loop at shards {1, 2, 4}.  Decisions are bit-identical by contract, so
-// the acceptance counts must agree across every cell (RMWP_ENSURE) and the
-// sweep isolates the solve-side speedup of decomposition.  The cells run
-// interleaved for kShardRounds rounds; BENCH_shard.json records the median,
-// min and max per cell with the host's nproc and build type.
+// E20 (ours) — admission decomposed by resource group rides in the same
+// binary: the islands platform whose partitioned catalog splits into four
+// independent resource groups (DESIGN.md §15), decided by {the unbatched
+// loop, the batched loop} × {a bench-local whole-instance RM, HeuristicRM,
+// which solves per group}.  Decisions are bit-identical by contract, so the
+// acceptance counts of the two RMs must agree in each loop (RMWP_ENSURE).
+// The cells run interleaved for kGroupRounds rounds; BENCH_shard.json
+// records the median, min and max per cell with the host's nproc and build
+// type.
 //
 // Scaling: RMWP_SERVE_ARRIVALS (default 20000) arrivals per cell,
 // RMWP_SEED for the master seed.  Writes BENCH_admission.json.
@@ -30,6 +31,7 @@
 #include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "core/heuristic_rm.hpp"
+#include "core/plan_instance.hpp"
 #include "serve/serve.hpp"
 #include "util/env.hpp"
 #include "util/stats.hpp"
@@ -78,6 +80,58 @@ private:
     Time burst_arrival_ = 0;
 };
 
+/// Algorithm 1 over the whole instance at every ladder rung, never split by
+/// resource group: E20's reference for what decomposition buys.  E20 runs
+/// no faults, so the default (never used) rescue suffices.
+class WholeInstanceHeuristicRM final : public ResourceManager {
+public:
+    [[nodiscard]] Decision decide(const ArrivalContext& context) override {
+        Decision decision = run_admission_ladder(context, solve);
+        if (!decision.admitted) decision.reason = RejectReason::heuristic_exhausted;
+        return decision;
+    }
+    void decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) override {
+        BatchPlanner planner(batch);
+        out.clear();
+        for (std::size_t m = 0; m < planner.item_count(); ++m) {
+            Decision decision = run_admission_ladder_batch(planner, m, solve);
+            if (!decision.admitted) decision.reason = RejectReason::heuristic_exhausted;
+            out.push_back(std::move(decision));
+        }
+    }
+    [[nodiscard]] std::string name() const override { return "heuristic"; }
+
+private:
+    static std::optional<std::span<const ResourceId>> solve(const PlanInstance& instance) {
+        return HeuristicRM::map_tasks(instance);
+    }
+};
+
+/// One serve run of `arrivals` synthetic requests in bursts of `burst`
+/// through `rm` with the online predictor; batch_window_ms < 0 decides one
+/// request per activation.
+ServeResult serve_bursts(const Platform& platform, const Catalog& catalog, ResourceManager& rm,
+                         SyntheticSourceParams source_params, std::size_t burst,
+                         double batch_window_ms, std::uint64_t arrivals, std::uint64_t seed) {
+    PredictorSpec spec;
+    spec.kind = PredictorSpec::Kind::online;
+    const std::unique_ptr<Predictor> predictor = make_predictor(spec, catalog, Rng(seed));
+    source_params.seed = seed;
+    BurstSource source(catalog, source_params, burst);
+
+    ServeConfig config;
+    config.sim.execution_seed = seed;
+    config.max_arrivals = arrivals;
+    config.batch_window = ms(batch_window_ms);
+    config.monitor_period_seconds = 0.1;
+    config.limits.expect_no_misses = true;
+
+    serve_clear_stop();
+    ServeResult serve = run_serve(platform, catalog, rm, *predictor, nullptr, source, config);
+    RMWP_ENSURE(serve.exit_code == 0);
+    return serve;
+}
+
 } // namespace
 
 int main() {
@@ -125,25 +179,8 @@ int main() {
                  "wall ms", "speedup"});
     for (const Cell& cell : cells) {
         HeuristicRM rm;
-        PredictorSpec spec;
-        spec.kind = PredictorSpec::Kind::online;
-        const std::unique_ptr<Predictor> predictor = make_predictor(spec, catalog, Rng(seed));
-
-        SyntheticSourceParams source_params;
-        source_params.seed = seed;
-        BurstSource source(catalog, source_params, cell.burst);
-
-        ServeConfig config;
-        config.sim.execution_seed = seed;
-        config.max_arrivals = arrivals;
-        config.batch_window = ms(cell.batch_window);
-        config.monitor_period_seconds = 0.1;
-        config.limits.expect_no_misses = true;
-
-        serve_clear_stop();
-        const ServeResult serve =
-            run_serve(platform, catalog, rm, *predictor, nullptr, source, config);
-        RMWP_ENSURE(serve.exit_code == 0);
+        const ServeResult serve = serve_bursts(platform, catalog, rm, {}, cell.burst,
+                                               cell.batch_window, arrivals, seed);
 
         const double dps = serve.wall_seconds > 0.0
                                ? static_cast<double>(serve.result.requests) / serve.wall_seconds
@@ -207,19 +244,19 @@ int main() {
                  "schedule rebuild across the group; throughput grows with batch size while\n"
                  "the sequential controls at the same burstiness stay near the baseline.\n";
 
-    // ---- E20: sharded admission on the islands platform ----
+    // ---- E20: admission decomposed by resource group ----
     //
     // Twenty-four CPUs, four GPUs, one DVFS core — round-robin over four
     // islands, so each island holds six CPUs and a GPU and the partitioned
     // catalog confines every task type to one island.  The platform is
-    // deliberately big, so the solve dominates the decision.  Decomposition
-    // saves work in two ways: each bucket solve scans only its own
-    // island's tasks and lanes, and in the batched loop a bucket that no
-    // admission touched serves its cached verdict to the next item of the
-    // burst instead of being solved again (DESIGN.md §15).  All cells run
-    // the batched loop on the same burst-8 workload — the only variable is
-    // the shard count, and the determinism contract makes every cell's
-    // decision stream identical.
+    // deliberately big, so the solve dominates the decision.  Splitting a
+    // rung by group does not by itself save much: the per-group solves
+    // together do about the work of the whole one, plus the sub-instance
+    // copies.  What pays is the batched loop's verdict cache — a group that
+    // no admission touched serves its verdict to the next item of the burst
+    // instead of being solved again (DESIGN.md §15).  The unbatched pair
+    // has no cache, so it is the cell that could show decomposition costing
+    // single decisions something.
     PlatformBuilder islands_builder;
     for (int k = 0; k < 24; ++k) islands_builder.add_cpu("CPU" + std::to_string(k));
     for (int k = 0; k < 4; ++k) islands_builder.add_gpu("GPU" + std::to_string(k));
@@ -231,9 +268,10 @@ int main() {
     const Catalog islands_catalog =
         generate_partitioned_catalog(islands, islands_params, 4, islands_rng);
 
-    struct ShardCell {
+    struct GroupCell {
         const char* label;
-        std::size_t shards;
+        bool batched;
+        bool by_group;
         Samples dps;
         Samples p99_us;
         Samples wall_ms;
@@ -242,57 +280,43 @@ int main() {
         std::uint64_t rejected = 0;
         std::uint64_t deadline_misses = 0;
     };
-    ShardCell shard_cells[] = {
-        {"batched (shards=1)", 1, {}, {}, {}},
-        {"shards=2", 2, {}, {}, {}},
-        {"shards=4", 4, {}, {}, {}},
+    GroupCell group_cells[] = {
+        {"unbatched, whole instance", false, false, {}, {}, {}},
+        {"unbatched, by group", false, true, {}, {}, {}},
+        {"batched, whole instance", true, false, {}, {}, {}},
+        {"batched, by group", true, true, {}, {}, {}},
     };
     // One round runs every cell once, so a slow phase of a shared host
     // lands on all cells alike; the gate reads the per-cell medians.
-    constexpr std::size_t kShardRounds = 5;
+    constexpr std::size_t kGroupRounds = 5;
     const unsigned nproc = std::thread::hardware_concurrency();
 
-    std::cout << "\nE20: sharded admission throughput (ours)\n"
+    std::cout << "\nE20: admission decomposed by resource group (ours)\n"
               << "setup: " << arrivals << " synthetic arrivals per cell, burst 8, seed " << seed
               << ", 24 CPUs + 4 GPUs + 1 DVFS core in 4 islands, " << islands_catalog.size()
               << " island-confined task types, heuristic RM + online predictor; "
-              << kShardRounds << " interleaved rounds, nproc " << nproc << ", "
+              << kGroupRounds << " interleaved rounds, nproc " << nproc << ", "
               << RMWP_BUILD_TYPE << " build\n\n";
 
-    for (std::size_t round = 0; round < kShardRounds; ++round) {
-        for (ShardCell& cell : shard_cells) {
-            HeuristicRM rm;
-            rm.set_shard_config({cell.shards, 1});
-            PredictorSpec spec;
-            spec.kind = PredictorSpec::Kind::online;
-            const std::unique_ptr<Predictor> predictor =
-                make_predictor(spec, islands_catalog, Rng(seed));
-
-            SyntheticSourceParams source_params;
-            source_params.seed = seed;
+    for (std::size_t round = 0; round < kGroupRounds; ++round) {
+        for (GroupCell& cell : group_cells) {
+            HeuristicRM by_group;
+            WholeInstanceHeuristicRM whole;
+            ResourceManager& rm = cell.by_group ? static_cast<ResourceManager&>(by_group) : whole;
             // The default mean is calibrated for the 6-resource platform;
             // with ~5x the capacity here, arrivals come ~5x as fast so the
             // active set stays proportionally loaded and the solver sees
             // platform-sized instances.
+            SyntheticSourceParams source_params;
             source_params.interarrival_mean = 1.2;
             source_params.interarrival_stddev = 0.4;
-            BurstSource source(islands_catalog, source_params, 8);
-
-            ServeConfig config;
-            config.sim.execution_seed = seed;
-            config.max_arrivals = arrivals;
-            config.batch_window = 0;
-            config.monitor_period_seconds = 0.1;
-            config.limits.expect_no_misses = true;
-
-            serve_clear_stop();
             const ServeResult serve =
-                run_serve(islands, islands_catalog, rm, *predictor, nullptr, source, config);
-            RMWP_ENSURE(serve.exit_code == 0);
+                serve_bursts(islands, islands_catalog, rm, source_params, 8,
+                             cell.batched ? 0.0 : -1.0, arrivals, seed);
 
-            // The determinism contract in numbers: every shard count, in
-            // every round, must accept and reject exactly the same requests.
-            const ShardCell& reference = shard_cells[0];
+            // The determinism contract in numbers: within one loop, both RMs
+            // in every round must accept and reject exactly the same requests.
+            const GroupCell& reference = group_cells[cell.batched ? 2 : 0];
             if (round > 0 || &cell != &reference) {
                 RMWP_ENSURE(serve.result.accepted == reference.accepted);
                 RMWP_ENSURE(serve.result.rejected == reference.rejected);
@@ -309,22 +333,20 @@ int main() {
         }
     }
 
-    const double batched_dps = shard_cells[0].dps.median();
-    double best_sharded_dps = 0.0;
-    bench::Json shard_results = bench::Json::array();
-    Table shard_table({"configuration", "median decisions/sec", "min", "max", "accepted %",
-                       "p99 us", "speedup"});
-    for (const ShardCell& cell : shard_cells) {
+    bench::Json group_results = bench::Json::array();
+    Table group_table({"configuration", "median decisions/sec", "min", "max", "accepted %",
+                       "p99 us", "vs whole"});
+    for (const GroupCell& cell : group_cells) {
         const double dps = cell.dps.median();
-        if (cell.shards > 1 && dps > best_sharded_dps) best_sharded_dps = dps;
-        const double speedup = batched_dps > 0.0 ? dps / batched_dps : 0.0;
+        const double whole_dps = group_cells[cell.batched ? 2 : 0].dps.median();
+        const double speedup = whole_dps > 0.0 ? dps / whole_dps : 0.0;
         const std::uint64_t requests = cell.accepted + cell.rejected;
         const double accepted_percent =
             requests > 0 ? 100.0 * static_cast<double>(cell.accepted) /
                                static_cast<double>(requests)
                          : 0.0;
 
-        shard_table.row()
+        group_table.row()
             .cell(cell.label)
             .cell(dps, 0)
             .cell(cell.dps.min(), 0)
@@ -335,7 +357,8 @@ int main() {
 
         bench::Json j = bench::Json::object();
         j.set("label", cell.label);
-        j.set("shards", static_cast<std::uint64_t>(cell.shards));
+        j.set("batched", cell.batched);
+        j.set("by_group", cell.by_group);
         j.set("arrivals", cell.arrivals);
         j.set("accepted", cell.accepted);
         j.set("rejected", cell.rejected);
@@ -345,32 +368,32 @@ int main() {
         j.set("decisions_per_second_max", cell.dps.max());
         j.set("latency_p99_us", cell.p99_us.median());
         j.set("wall_ms", cell.wall_ms.median());
-        j.set("speedup_vs_batched", speedup);
-        shard_results.push(std::move(j));
+        j.set("speedup_vs_whole", speedup);
+        group_results.push(std::move(j));
     }
-    shard_table.print(std::cout);
+    group_table.print(std::cout);
 
-    bench::Json shard_root = bench::Json::object();
-    shard_root.set("bench", "shard");
-    shard_root.set("arrivals_per_cell", arrivals);
-    shard_root.set("seed", seed);
-    shard_root.set("repetitions", static_cast<std::uint64_t>(kShardRounds));
-    shard_root.set("nproc", static_cast<std::uint64_t>(nproc));
-    shard_root.set("build_type", RMWP_BUILD_TYPE);
-    shard_root.set("batched_decisions_per_second", batched_dps);
-    shard_root.set("best_sharded_decisions_per_second", best_sharded_dps);
-    shard_root.set("best_speedup_vs_batched",
-                   batched_dps > 0.0 ? best_sharded_dps / batched_dps : 0.0);
-    shard_root.set("cells", std::move(shard_results));
-    std::ofstream shard_out("BENCH_shard.json");
-    shard_root.write(shard_out, 0);
-    shard_out << '\n';
-    if (shard_out) std::cout << "wrote BENCH_shard.json\n";
+    bench::Json group_root = bench::Json::object();
+    group_root.set("bench", "shard");
+    group_root.set("arrivals_per_cell", arrivals);
+    group_root.set("seed", seed);
+    group_root.set("repetitions", static_cast<std::uint64_t>(kGroupRounds));
+    group_root.set("nproc", static_cast<std::uint64_t>(nproc));
+    group_root.set("build_type", RMWP_BUILD_TYPE);
+    group_root.set("unbatched_whole_decisions_per_second", group_cells[0].dps.median());
+    group_root.set("unbatched_by_group_decisions_per_second", group_cells[1].dps.median());
+    group_root.set("batched_whole_decisions_per_second", group_cells[2].dps.median());
+    group_root.set("batched_by_group_decisions_per_second", group_cells[3].dps.median());
+    group_root.set("cells", std::move(group_results));
+    std::ofstream group_out("BENCH_shard.json");
+    group_root.write(group_out, 0);
+    group_out << '\n';
+    if (group_out) std::cout << "wrote BENCH_shard.json\n";
 
-    std::cout << "\nfinding: partitioning the admission solve by resource group turns one\n"
-                 "whole-platform plan into bucket-sized plans solved one after another on\n"
-                 "the serve thread, and lets untouched buckets reuse their verdicts across a\n"
-                 "burst; the acceptance counts stay bit-identical across shard counts, so\n"
-                 "the speedup is decomposition alone, with no behavioural drift.\n";
+    std::cout << "\nfinding: solving each resource group on its own decides bit-identically\n"
+                 "to the whole-instance solve; in the batched loop, groups that no admission\n"
+                 "touched reuse their verdicts across a burst, which is where the speedup\n"
+                 "comes from — the unbatched pair, with no cache, shows what the split alone\n"
+                 "costs or saves.\n";
     return 0;
 }

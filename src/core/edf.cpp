@@ -90,7 +90,8 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
 
     auto finish = [&](TaskUid uid, Time abs_deadline, Time end) {
         if (completion != nullptr) completion->push_back(TaskCompletion{uid, end});
-        if (end > abs_deadline) feasible = false;
+        // A saturated completion (kNever) is past every deadline.
+        if (end > abs_deadline || end == kNever) feasible = false;
     };
 
     thread_local EdfArrays soa_buffer;
@@ -129,7 +130,7 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
         RMWP_EXPECT(item.release >= now);
         if (item.pinned_first) {
             RMWP_EXPECT(!resource.preemptable());
-            const Time end = cur + item.duration;
+            const Time end = add_saturating(cur, item.duration);
             emit(item.uid, cur, end);
             finish(item.uid, item.abs_deadline, end);
             cur = end;
@@ -186,11 +187,12 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
         // adaptive task may start only if it completes before the next
         // reservation begins — otherwise it would overrun a window that is
         // guaranteed at design time.  Fall back to the longest-fitting EDF
-        // choice, or idle until the reservation.
+        // choice, or idle until the reservation.  With none pending there
+        // is no window to overrun.
         const Time next_reservation = release_or_never(
             first_future_open(kNever, [&](std::size_t j) { return soa.reserved[j] != 0; }));
         if (!resource.preemptable() && pick != kNone && soa.reserved[pick] == 0 &&
-            soa.remaining[pick] > next_reservation - cur) {
+            next_reservation != kNever && soa.remaining[pick] > next_reservation - cur) {
             pick = first_ready([&](std::size_t j) {
                 return soa.reserved[j] == 0 && soa.remaining[j] <= next_reservation - cur;
             });
@@ -206,7 +208,7 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
             continue;
         }
 
-        const Time end = cur + soa.remaining[pick];
+        const Time end = add_saturating(cur, soa.remaining[pick]);
         if (resource.preemptable()) {
             // A future release preempts the running task if it outranks it
             // (a reservation always; an adaptive task by earlier deadline).
@@ -245,8 +247,8 @@ bool demand_fits(Time from, const Range& range, Proj&& proj, bool pinned_first) 
             const ScheduleItem& item = proj(entry);
             if (item.release < from || (pinned_first && item.pinned_first != (pass == 0)))
                 continue;
-            work += item.duration;
-            if (work > item.abs_deadline - from) return false;
+            work = add_saturating(work, item.duration);
+            if (work > item.abs_deadline - from || work == kNever) return false;
         }
     }
     return true;

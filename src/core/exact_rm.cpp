@@ -21,13 +21,13 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 /// A plain `double` running sum resolves real-valued cost ties by
 /// rounding noise, and that noise depends on accumulation order: the
 /// monolithic solve interleaves every resource group's terms while a
-/// per-shard sub-solve sums only its own bucket's, so two same-type
+/// per-group sub-solve sums only its own group's, so two same-type
 /// tasks whose swapped placements cost exactly the same could come out
 /// swapped between the two paths.  Admission costs are sums of at most
 /// a few dozen task energies of similar magnitude, so the exact sum
 /// fits comfortably in the 106 significand bits of a renormalised
 /// double-double pair — and exact sums are order-independent, which
-/// restores bit-identity between the whole-instance and per-bucket
+/// restores bit-identity between the whole-instance and per-group
 /// searches.  The pair is kept canonical (hi carries the rounded
 /// value, |lo| <= ulp(hi)/2), so equal reals compare equal and the
 /// lexicographic comparison below is a true real comparison.
@@ -59,35 +59,18 @@ RejectReason reject_reason(bool proven) {
     return proven ? RejectReason::proved_infeasible : RejectReason::solver_infeasible;
 }
 
-/// Admission-ladder solver over a whole instance: ANDs each failed
-/// solve's proof flag into `proven`.
-auto proof_tracking_solver(const ExactRM::Options& options, bool& proven) {
-    return [&options,
-            &proven](const PlanInstance& instance) -> std::optional<std::vector<ResourceId>> {
-        bool step_proven = true;
-        if (auto result = ExactRM::optimize(instance, options, &step_proven))
-            return std::move(result->mapping);
-        proven = proven && step_proven;
-        return std::nullopt;
-    };
-}
-
-/// ShardedSolver callback: branch-and-bound over one bucket's sub-instance.
-/// Costs and feasibility separate across buckets, so the per-bucket optima
-/// compose into the global optimum; `proven` reports whether a failure
-/// exhausted the search tree (node budgets are per sub-solve — see the
-/// DESIGN.md §15 caveat).
-bool sharded_optimize(const PlanInstance& sub, std::vector<ResourceId>& mapping, bool& proven,
-                      void* ctx) {
-    const auto* options = static_cast<const ExactRM::Options*>(ctx);
-    bool step_proven = true;
-    auto result = ExactRM::optimize(sub, *options, &step_proven);
-    proven = step_proven;
-    if (!result) return false;
-    // Assign (not move): the slot's buffer capacity is part of the
-    // allocation-free steady state.
-    mapping.assign(result->mapping.begin(), result->mapping.end());
-    return true;
+/// ShardedSolver callback: branch-and-bound over a whole instance or one
+/// group's sub-instance.  Costs and feasibility separate across groups, so
+/// the per-group optima compose into the global optimum; `proven` reports
+/// whether a failure exhausted the search tree (node budgets are per solve
+/// — see the DESIGN.md §15 caveat).
+std::optional<std::span<const ResourceId>> solve(const PlanInstance& instance, bool& proven,
+                                                 void* ctx) {
+    thread_local std::vector<ResourceId> mapping;
+    auto result = ExactRM::optimize(instance, *static_cast<const ExactRM::Options*>(ctx), &proven);
+    if (!result) return std::nullopt;
+    mapping = std::move(result->mapping);
+    return std::span<const ResourceId>(mapping);
 }
 
 /// Depth-first search state.  Pooled thread-locally (search_scratch):
@@ -139,7 +122,7 @@ struct Search {
         // context for everything after them.  The final tie-break totalises
         // the order (std::sort is unstable): the search's exploration order
         // — and with it the returned optimum under cost ties — is then a
-        // pure function of the instance, which is what lets a sharded
+        // pure function of the instance, which is what lets a per-group
         // sub-solve reproduce the sequential result bit for bit
         // (DESIGN.md §15; a sub-instance preserves instance position).
         order.resize(count);
@@ -158,7 +141,7 @@ struct Search {
         // energy ties so the exploration order is total — under equal-cost
         // optima the incumbent that survives the strict `<` improvement
         // test is then the same whether the task set arrived whole or as a
-        // per-shard sub-instance.  A task's list is the same at every node
+        // per-group sub-instance.  A task's list is the same at every node
         // of the tree, so it is sorted once per solve.
         candidates.clear();
         candidate_begin.resize(count + 1);
@@ -194,7 +177,7 @@ struct Search {
     /// improve on the incumbent.  Every operand is an exact sum, so this
     /// is a real comparison: ties prune (keeping the lex-first optimum)
     /// and the verdict is the same whether the instance is solved whole
-    /// or as per-shard sub-instances.
+    /// or as per-group sub-instances.
     [[nodiscard]] bool can_improve(const ExactSum& cost, const ExactSum& suffix) const {
         if (!std::isfinite(suffix.hi)) return false;
         return cost.plus(suffix.hi).plus(suffix.lo).less_than(best_cost);
@@ -295,35 +278,11 @@ std::optional<ExactRM::Result> ExactRM::optimize(const PlanInstance& instance,
 }
 
 Decision ExactRM::decide(const ArrivalContext& context) {
-    const ShardConfig& shard = shard_config();
-    if (shard.shards > 1)
-        return decide_sharded(context, shard, &sharded_optimize, &options_, &reject_reason);
-    bool proven = true;
-    Decision decision = run_admission_ladder(context, proof_tracking_solver(options_, proven));
-    if (!decision.admitted) decision.reason = reject_reason(proven);
-    RMWP_ENSURE(decision.admitted || decision.reason == RejectReason::proved_infeasible ||
-                decision.reason == RejectReason::solver_infeasible);
-    return decision;
+    return decide_sharded(context, &solve, &options_, &reject_reason);
 }
 
 void ExactRM::decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) {
-    RMWP_EXPECT(batch.platform != nullptr && batch.catalog != nullptr);
-    const ShardConfig& shard = shard_config();
-    if (shard.shards > 1) {
-        decide_batch_sharded(batch, shard, &sharded_optimize, &options_, &reject_reason, out);
-        return;
-    }
-    BatchPlanner planner(batch);
-    out.clear();
-    out.reserve(batch.items.size());
-    for (std::size_t m = 0; m < planner.item_count(); ++m) {
-        bool proven = true;
-        Decision decision =
-            run_admission_ladder_batch(planner, m, proof_tracking_solver(options_, proven));
-        if (!decision.admitted) decision.reason = reject_reason(proven);
-        out.push_back(std::move(decision));
-    }
-    RMWP_ENSURE(out.size() == batch.items.size());
+    decide_batch_sharded(batch, &solve, &options_, &reject_reason, out);
 }
 
 RescueDecision ExactRM::rescue(const RescueContext& context) {
@@ -331,7 +290,9 @@ RescueDecision ExactRM::rescue(const RescueContext& context) {
     Options rescue_options = options_;
     rescue_options.node_limit = std::min(options_.node_limit, options_.rescue_node_limit);
     bool proven = true; // a rescue sheds the next victim either way
-    return run_rescue_ladder(context, proof_tracking_solver(rescue_options, proven));
+    return run_rescue_ladder(context, [&](const PlanInstance& instance) {
+        return solve(instance, proven, &rescue_options);
+    });
 }
 
 } // namespace rmwp

@@ -46,6 +46,9 @@ public:
     [[nodiscard]] Decision decide(const ArrivalContext& context) override;
     /// Batched admission over the shared BatchPlanner base: one plan
     /// rebuild per batch, bit-identical decisions to sequential decide()s.
+    /// Both entry points solve per resource group when the platform has
+    /// more than one (DESIGN.md §15), so `node_limit` then bounds each
+    /// group's search rather than the whole instance's.
     void decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) override;
     [[nodiscard]] RescueDecision rescue(const RescueContext& context) override;
     [[nodiscard]] std::string name() const override { return "exact"; }

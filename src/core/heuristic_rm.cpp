@@ -18,18 +18,13 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 /// finite so a desirability order still exists among infeasible choices.
 constexpr double kBigM = 1e9;
 
-/// ShardedSolver callback: Algorithm 1 over one bucket's sub-instance.
-/// A heuristic rejection is never a proof of infeasibility.
-bool sharded_map_tasks(const PlanInstance& sub, std::vector<ResourceId>& mapping, bool& proven,
-                       void* ctx) {
+/// ShardedSolver callback: Algorithm 1 over a whole instance or one
+/// group's sub-instance.  A heuristic rejection is never a proof of
+/// infeasibility.
+std::optional<std::span<const ResourceId>> solve(const PlanInstance& instance, bool& proven,
+                                                 void* ctx) {
     proven = true;
-    const auto* options = static_cast<const HeuristicRM::Options*>(ctx);
-    const auto result = HeuristicRM::map_tasks(sub, *options);
-    if (!result.has_value()) return false;
-    // The span views the worker thread's scratch — copy out before the next
-    // solve on this thread reuses it.
-    mapping.assign(result->begin(), result->end());
-    return true;
+    return HeuristicRM::map_tasks(instance, *static_cast<const HeuristicRM::Options*>(ctx));
 }
 
 /// Algorithm 1 is incomplete: a rejection means the regret-driven search was
@@ -193,34 +188,11 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
 }
 
 Decision HeuristicRM::decide(const ArrivalContext& context) {
-    const ShardConfig& shard = shard_config();
-    if (shard.shards > 1)
-        return decide_sharded(context, shard, &sharded_map_tasks, &options_, &exhausted);
-    Decision decision = run_admission_ladder(
-        context, [this](const PlanInstance& instance) { return map_tasks(instance, options_); });
-    if (!decision.admitted) decision.reason = RejectReason::heuristic_exhausted;
-    RMWP_ENSURE(decision.admitted || decision.reason == RejectReason::heuristic_exhausted);
-    return decision;
+    return decide_sharded(context, &solve, &options_, &exhausted);
 }
 
 void HeuristicRM::decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) {
-    RMWP_EXPECT(batch.platform != nullptr && batch.catalog != nullptr);
-    const ShardConfig& shard = shard_config();
-    if (shard.shards > 1) {
-        decide_batch_sharded(batch, shard, &sharded_map_tasks, &options_, &exhausted, out);
-        return;
-    }
-    BatchPlanner planner(batch);
-    out.clear();
-    out.reserve(batch.items.size());
-    for (std::size_t m = 0; m < planner.item_count(); ++m) {
-        Decision decision = run_admission_ladder_batch(planner, m, [this](const PlanInstance& instance) {
-            return map_tasks(instance, options_);
-        });
-        if (!decision.admitted) decision.reason = RejectReason::heuristic_exhausted;
-        out.push_back(std::move(decision));
-    }
-    RMWP_ENSURE(out.size() == batch.items.size());
+    decide_batch_sharded(batch, &solve, &options_, &exhausted, out);
 }
 
 RescueDecision HeuristicRM::rescue(const RescueContext& context) {

@@ -44,9 +44,9 @@ public:
     [[nodiscard]] Decision decide(const ArrivalContext& context) override;
     /// Batched admission over the shared BatchPlanner base: one plan
     /// rebuild per batch, bit-identical decisions to sequential decide()s.
-    /// With shard_config().shards > 1 both entry points solve per resource
-    /// group on the ShardedSolver (DESIGN.md §15) — still bit-identical at
-    /// any shard count, pinned by tests/test_shard_admission.cpp.
+    /// Both entry points solve per resource group when the platform has
+    /// more than one (DESIGN.md §15) — bit-identical to the whole-instance
+    /// solve, pinned by tests/test_shard_admission.cpp.
     void decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) override;
     [[nodiscard]] RescueDecision rescue(const RescueContext& context) override;
     [[nodiscard]] std::string name() const override { return "heuristic"; }

@@ -157,20 +157,13 @@ struct BatchArrivalContext {
     }
 };
 
-/// Sharded admission configuration (DESIGN.md §15).  The plan is
-/// partitioned by resource group (connected components of the "some type can
-/// execute on both resources" relation) and folded into at most `shards`
-/// solve buckets, solved one after another on the deciding thread.
-/// Decisions are bit-identical to the sequential path at any shard count.
-/// `shards <= 1` selects the unsharded code path exactly.  BaselineRM and
-/// MilpRM ignore the config (their solvers do not decompose provably
-/// bit-identically; see DESIGN.md §15).
+/// Retired sharded-admission knob.  Admission decomposes by resource group
+/// on its own (DESIGN.md §15) and nothing in the library reads this; it is
+/// kept only so perfbench's `set_shard_config({4, 1})` still compiles, and
+/// goes together with that call.
 struct ShardConfig {
-    std::size_t shards = 1; ///< max solve buckets (1 = sequential solve)
-    /// Must be 1.  Kept only so the aggregate `set_shard_config({4, 1})` in
-    /// perfbench/workloads.cpp still compiles; delete it together with that
-    /// call.
-    std::size_t probe_jobs = 1;
+    std::size_t shards = 1;
+    std::size_t probe_jobs = 1; ///< must be 1
 };
 
 /// Abstract resource manager.
@@ -194,11 +187,8 @@ public:
     [[nodiscard]] virtual RescueDecision rescue(const RescueContext& context);
     [[nodiscard]] virtual std::string name() const = 0;
 
-    /// Sharded-admission configuration.  Set once, at construction/setup
-    /// time, before the RM is shared across engine threads: the config is
-    /// read unsynchronised on every decide.  RMs whose solvers do not
-    /// decompose bit-identically (baseline, milp) ignore it.  Throws
-    /// precondition_error unless `config.probe_jobs == 1`.
+    /// Store a retired ShardConfig (see there); no decision reads it.
+    /// Throws precondition_error unless `config.probe_jobs == 1`.
     void set_shard_config(const ShardConfig& config) {
         RMWP_EXPECT(config.probe_jobs == 1);
         shard_config_ = config;

@@ -104,7 +104,7 @@ struct PlanPool {
 namespace plan_detail {
 /// Resize a pooled task list without destroying PlanTask heap buffers:
 /// surplus shells park in `spare` and return on the next growth, so
-/// rung-to-rung (and per-shard sub-instance) resizes do no steady-state
+/// rung-to-rung (and per-group sub-instance) resizes do no steady-state
 /// allocation.  Shared by the ladder, BatchPlanner, and ShardedSolver.
 void set_task_count(std::vector<PlanTask>& tasks, std::vector<PlanTask>& spare,
                     std::size_t count);

@@ -34,8 +34,8 @@ enum class Stage : std::uint8_t {
     sorted_refresh, ///< memoised sorted-block recomputation in fill_blocks
     prefilter,      ///< analytic EDF prefilter (demand / dispatch-mirror scans)
     edf_simulate,   ///< exact EDF simulation fallback
-    shard_solve,    ///< sharded per-bucket sub-solves, incl. cross-shard wait
-    shard_merge,    ///< deterministic cross-shard mapping merge
+    shard_solve,    ///< per-group sub-solves on a multi-group platform
+    shard_merge,    ///< deterministic cross-group mapping merge
 };
 
 inline constexpr std::size_t kStageCount = 8;

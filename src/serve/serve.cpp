@@ -357,13 +357,6 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
                                               static_cast<double>(predictions)
                                         : std::numeric_limits<double>::quiet_NaN());
 
-            // Sharded-admission configuration (DESIGN.md §15).  Immutable
-            // for the lifetime of the serve run, so reading it from the
-            // telemetry thread needs no synchronisation.  The matching
-            // stage costs are rmwp_stage_shard_solve / _merge above.
-            gauge("rmwp_serve_shards", "sharded-admission solve buckets cap (--shards)",
-                  rm.shard_config().shards);
-
             // Service latency as a summary straight off the board's live HDR.
             text.family("rmwp_serve_latency_us",
                         "wall-clock service latency per backlog flush (microseconds)",

@@ -503,10 +503,10 @@ void SimEngine::decide_on(const Request& request, TaskUid uid, std::size_t index
     const ArrivalContext context =
         context_for(candidate, predict(index, decision_time), decision_time);
 
-    // The timestamps bracket the *whole* decide call: under sharded
-    // admission (DESIGN.md §15) that includes every bucket's solve and
-    // the cross-shard merge, so the recorded decision latency is the
-    // end-to-end figure — never a single bucket's solve time.
+    // The timestamps bracket the *whole* decide call: on a multi-group
+    // platform (DESIGN.md §15) that includes every group's solve and the
+    // merge, so the recorded decision latency is the end-to-end figure —
+    // never a single group's solve time.
     // RMWP_LINT_ALLOW(R1): measures RM overhead on the host (paper Fig 5); host-time
     const auto started = std::chrono::steady_clock::now();
     const Decision decision = rm_.decide(context);
@@ -618,7 +618,7 @@ void SimEngine::decide_batch_on(Time decision_time) {
     batch.health = &health_;
 
     // As on the sequential path: the bracket spans the whole decide_batch,
-    // so sharded runs record latency after the cross-shard merge.
+    // so multi-group runs record latency after the merge.
     // RMWP_LINT_ALLOW(R1): measures RM overhead on the host (paper Fig 5); host-time
     const auto started = std::chrono::steady_clock::now();
     if (!batch_items_.empty()) rm_.decide_batch(batch, batch_decisions_);

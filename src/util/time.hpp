@@ -22,6 +22,14 @@ inline constexpr Time kTicksPerMs = 1'000'000;
 /// The instant after every representable one (e.g. a permanent fault's end).
 inline constexpr Time kNever = std::numeric_limits<Time>::max();
 
+/// `t + d` for a duration `d >= 0`, saturating at kNever.  Planners add
+/// WCETs past a deadline that may sit near the top of the range; a
+/// saturated sum is past every deadline.
+[[nodiscard]] constexpr Time add_saturating(Time t, Time d) noexcept {
+    Time sum = 0;
+    return __builtin_add_overflow(t, d, &sum) ? kNever : sum;
+}
+
 /// `value` milliseconds as the nearest tick, for constants and literals.
 [[nodiscard]] constexpr Time ms(double value) noexcept {
     return static_cast<Time>(value * static_cast<double>(kTicksPerMs) + (value < 0 ? -0.5 : 0.5));

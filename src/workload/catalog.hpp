@@ -69,9 +69,10 @@ private:
 /// round-robin (in id order) to `islands` disjoint resource islands, and
 /// each task type executes only within island `type_id % islands` — the
 /// Sec 5.1 magnitudes, confined.  The executability relation then has
-/// `islands` connected components, which is exactly what sharded admission
-/// (DESIGN.md §15) partitions on: with this catalog, shards split both the
-/// work and the O(tasks^2) solve cost instead of degenerating to one group.
+/// `islands` connected components, the resource groups admission solves
+/// one by one (DESIGN.md §15).  The split decides the same as the whole
+/// solve; for Algorithm 1 it saves little by itself, and the batch loop
+/// gains by reusing the verdicts of groups an admission left untouched.
 /// Every island must receive at least one CPU core.  Deterministic in
 /// `rng`; `islands == 1` draws differently from generate_catalog (only
 /// island CPUs are sampled) but has the same distribution shape.

@@ -17,6 +17,7 @@
 #include <new>
 #include <vector>
 
+#include "admission_reference.hpp"
 #include "core/heuristic_rm.hpp"
 #include "predict/predictor.hpp"
 #include "sim/engine.hpp"
@@ -64,16 +65,6 @@ void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 
 namespace rmwp {
 namespace {
-
-ActiveTask task_of(TaskUid uid, TaskTypeId type, double arrival_ms,
-                                 double rel_deadline_ms) {
-    ActiveTask task;
-    task.uid = uid;
-    task.type = type;
-    task.arrival = ms(arrival_ms);
-    task.absolute_deadline = ms(arrival_ms + rel_deadline_ms);
-    return task;
-}
 
 TEST(AllocCount, SteadyStateDecideAllocatesOnlyTheDecisionOutput) {
 #ifdef RMWP_AUDIT
@@ -174,21 +165,9 @@ TEST(AllocCount, BatchDecisionAmortisesSetupAllocations) {
         << " batches of " << items.size();
 }
 
-// ---- sharded admission (DESIGN.md §15) ----
+// ---- admission decomposed by resource group (DESIGN.md §15) ----
 
-/// Four islands over eleven physical resources (mirrors
-/// tests/test_shard_admission.cpp): the partition that gives the sharded
-/// solver real per-bucket work.
-Platform make_islands_platform() {
-    PlatformBuilder builder;
-    for (int k = 0; k < 8; ++k) builder.add_cpu("CPU" + std::to_string(k));
-    builder.add_gpu("GPU0");
-    builder.add_gpu("GPU1");
-    builder.add_cpu_with_dvfs({1.0, 0.5}, "DVFS");
-    return builder.build();
-}
-
-TEST(AllocCount, ShardedSteadyStateKeepsTheOneAllocationBudget) {
+TEST(AllocCount, PerGroupSteadyStateKeepsTheOneAllocationBudget) {
 #ifdef RMWP_AUDIT
     GTEST_SKIP() << "allocation budgets are pinned on no-audit builds";
 #endif
@@ -213,10 +192,11 @@ TEST(AllocCount, ShardedSteadyStateKeepsTheOneAllocationBudget) {
     context.predicted = {PredictedTask{4, ms(9.0), ms(60.0)}};
 
     HeuristicRM rm;
-    rm.set_shard_config({4, 1});
-    // Warm-up sizes the partition, the per-bucket sub-instances, and the
-    // solver arenas for every bucket.
-    (void)rm.decide(context);
+    // Warm-up sizes the partition, the per-group sub-instances, and the
+    // solver arenas for every group — and pins the decision to the
+    // whole-instance reference.
+    expect_same_decision(WholeInstanceRM(WholeInstanceRM::Solver::heuristic).decide(context),
+                         rm.decide(context), "per-group decide", 0);
 
     constexpr int kRounds = 200;
     AllocationCount count;
@@ -229,16 +209,16 @@ TEST(AllocCount, ShardedSteadyStateKeepsTheOneAllocationBudget) {
     const std::uint64_t allocations = count.stop();
     EXPECT_EQ(admitted, static_cast<std::size_t>(kRounds));
 
-    // Same budget as the sequential path: one allocation per decision —
-    // the Decision's assignments vector.  Partition rebuilds, bucket
-    // sub-instances and bucket mappings all reuse pooled capacity.
+    // Same budget as the one-group path: one allocation per decision —
+    // the Decision's assignments vector.  Partition rebuilds, group
+    // sub-instances and group mappings all reuse pooled capacity.
     EXPECT_LE(allocations, static_cast<std::uint64_t>(kRounds))
-        << "sharded decide() regressed to " << allocations << " allocations over " << kRounds
+        << "per-group decide() regressed to " << allocations << " allocations over " << kRounds
         << " rounds";
     EXPECT_GT(allocations, 0u);
 }
 
-TEST(AllocCount, ShardedBatchOfEightAcrossFourShardsStaysPinned) {
+TEST(AllocCount, PerGroupBatchOfEightAcrossFourGroupsStaysPinned) {
 #ifdef RMWP_AUDIT
     GTEST_SKIP() << "allocation budgets are pinned on no-audit builds";
 #endif
@@ -253,7 +233,7 @@ TEST(AllocCount, ShardedBatchOfEightAcrossFourShardsStaysPinned) {
     active.front().resource = catalog.type(0).executable_resources().front();
     // Eight same-instant arrivals spanning all four islands (type m % 16
     // lives in island (m % 16) % 4), so the batch loop exercises every
-    // bucket and the cross-item solve cache.
+    // group and the cross-item verdict cache.
     std::vector<BatchItem> items;
     for (std::size_t m = 0; m < 8; ++m)
         items.push_back({task_of(100 + m, (m * 3 + 1) % 16, 5.0,
@@ -267,10 +247,14 @@ TEST(AllocCount, ShardedBatchOfEightAcrossFourShardsStaysPinned) {
     batch.items = items;
 
     HeuristicRM rm;
-    rm.set_shard_config({4, 1});
     std::vector<Decision> out;
     rm.decide_batch(batch, out); // warm-up
     ASSERT_EQ(out.size(), items.size());
+    std::vector<Decision> expected;
+    WholeInstanceRM(WholeInstanceRM::Solver::heuristic).decide_batch(batch, expected);
+    ASSERT_EQ(expected.size(), items.size());
+    for (std::size_t m = 0; m < items.size(); ++m)
+        expect_same_decision(expected[m], out[m], "per-group batch", 0, m);
 
     constexpr int kRounds = 100;
     AllocationCount count;
@@ -287,7 +271,7 @@ TEST(AllocCount, ShardedBatchOfEightAcrossFourShardsStaysPinned) {
     // capacity).  The slack must not scale with kRounds.
     const std::uint64_t budget = static_cast<std::uint64_t>(kRounds) * items.size() + 16;
     EXPECT_LE(allocations, budget)
-        << "sharded decide_batch allocated " << allocations << " times over " << kRounds
+        << "per-group decide_batch allocated " << allocations << " times over " << kRounds
         << " batches of " << items.size();
 }
 

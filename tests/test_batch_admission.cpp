@@ -22,6 +22,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "admission_reference.hpp"
 #include "core/baseline_rm.hpp"
 #include "core/exact_rm.hpp"
 #include "core/heuristic_rm.hpp"
@@ -45,16 +46,6 @@ struct RandomWorld {
     Catalog catalog;
     std::vector<ActiveTask> active;
     ArrivalContext context;
-
-    static ActiveTask task_of(TaskUid uid, TaskTypeId type, double arrival_ms,
-                                 double rel_deadline_ms) {
-        ActiveTask task;
-        task.uid = uid;
-        task.type = type;
-        task.arrival = ms(arrival_ms);
-        task.absolute_deadline = ms(arrival_ms + rel_deadline_ms);
-        return task;
-    }
 
     explicit RandomWorld(std::uint64_t seed) : catalog([&] {
         CatalogParams params;
@@ -99,22 +90,6 @@ struct RandomWorld {
         return item;
     }
 };
-
-void expect_same_decision(const Decision& a, const Decision& b, const char* what,
-                          std::uint64_t seed, std::size_t index = 0) {
-    EXPECT_EQ(a.admitted, b.admitted) << what << " seed " << seed << " item " << index;
-    EXPECT_EQ(a.used_prediction, b.used_prediction)
-        << what << " seed " << seed << " item " << index;
-    EXPECT_EQ(static_cast<int>(a.reason), static_cast<int>(b.reason))
-        << what << " seed " << seed << " item " << index;
-    ASSERT_EQ(a.assignments.size(), b.assignments.size())
-        << what << " seed " << seed << " item " << index;
-    for (std::size_t k = 0; k < a.assignments.size(); ++k) {
-        EXPECT_EQ(a.assignments[k].uid, b.assignments[k].uid) << what << " seed " << seed;
-        EXPECT_EQ(a.assignments[k].resource, b.assignments[k].resource)
-            << what << " seed " << seed;
-    }
-}
 
 /// Every simulated-system field except the per-activation counters
 /// (activations, audit_*): a coalesced group is one activation where the

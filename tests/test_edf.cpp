@@ -935,5 +935,27 @@ TEST(EdfDifferential, SortedDispatchMatchesQuadraticLoop) {
     EXPECT_LT(infeasible, 3800);
 }
 
+// ---- signed-time headroom ----
+
+/// A trace may place a deadline anywhere below kNever (arrival + relative
+/// deadline only has to fit int64), and probes add WCETs past it.  A sum
+/// beyond the last representable instant saturates and counts as a miss;
+/// wrapping to a negative time would meet every deadline.
+TEST(EdfOverflow, SumsPastTheLastInstantAreMisses) {
+    const Time now = kNever - ms(10.0);
+    const Time huge = Time{3} << 61; // two of them overflow int64
+    for (const Resource* resource : {&kCpu, &kGpu}) {
+        const std::vector<ScheduleItem> late{item(1, ms(20.0), kNever - 1, now)};
+        EXPECT_FALSE(schedule_resource(*resource, now, late).feasible) << resource->name();
+        const std::vector<ScheduleItem> heavy{item(1, huge, kNever - 1), item(2, huge, kNever - 1)};
+        EXPECT_EQ(edf_demand_prefilter(*resource, 0, heavy), EdfPrefilter::infeasible)
+            << resource->name();
+        EXPECT_FALSE(schedule_resource(*resource, 0, heavy).feasible) << resource->name();
+    }
+    // The GPU's pinned head runs before the EDF loop, on its own sum.
+    const std::vector<ScheduleItem> pinned{item(1, ms(20.0), kNever - 1, now, true)};
+    EXPECT_FALSE(schedule_resource(kGpu, now, pinned).feasible);
+}
+
 } // namespace
 } // namespace rmwp

@@ -1,31 +1,31 @@
-// Differential fuzz-and-property suite for sharded admission (DESIGN.md
-// §15): the sharded solve must be *bit-identical* to the sequential path at
-// any shard count.
+// Differential fuzz-and-property suite for admission decomposed by
+// resource group (DESIGN.md §15): HeuristicRM and ExactRM must decide
+// *bit-identically* to the test-only whole-instance reference RMs
+// (tests/admission_reference.hpp), which never decompose.
 //
-//   * fuzzer — 200 random worlds on an islands platform (the partition the
-//     sharding exists for), each decided by {heuristic, exact, baseline}
-//     across shards {1, 2, 4, 8}, with injected faults
-//     and 0-2 predicted requests, on both decide() and decide_batch();
-//     MilpRM (which documents ignoring the config) rides on a subsample;
-//   * directed cases — a cross-shard tie-break world of byte-identical twin
-//     islands, and the degenerate single-group partition where shards = 8
-//     must fold to one bucket and change nothing;
+//   * fuzzer — 200 random worlds on a four-island platform (the partition
+//     the decomposition exists for), each decided by {heuristic, exact}
+//     and its whole-instance reference, with injected faults and 0-2
+//     predicted requests, on both decide() and decide_batch();
+//   * directed cases — a cross-group tie-break world of byte-identical twin
+//     islands; the one-group platform, which must never enter shard_solve;
+//     and an exact node budget that binds, where decide() must still equal
+//     decide_batch() of the one item;
 //   * partition properties — groups are the executability components,
-//     rebuilt deterministically, with the bucket folding rules pinned;
-//   * order properties — demand_order is a total order whose per-shard
+//     rebuilt deterministically;
+//   * order properties — demand_order is a total order whose per-group
 //     sort + merge equals the full sort, and insert_demand_ordered's
 //     incremental state equals a full re-sort (the foundation the
-//     per-bucket EDF probes stand on);
-//   * serve level — a faulty, predicted, 400-arrival serve run under
-//     --shards 4 ends in the same simulated state as the
-//     sequential service, records decision latency after the cross-shard
-//     merge (monotone HDR quantiles), and attributes shard_solve /
-//     shard_merge stage samples to the engine thread.
+//     per-group EDF probes stand on);
+//   * serve level — a faulty, predicted, 400-arrival serve run ends in the
+//     same simulated state as the whole-instance service, records decision
+//     latency after the cross-group merge (monotone HDR quantiles), and
+//     attributes shard_solve / shard_merge stage samples to the engine
+//     thread.
 //
-// An RMWP_AUDIT build additionally re-solves every sharded instance
-// sequentially inside ShardedSolver::run and asserts bit-equality — running
-// this binary under build-audit exercises that drift gate on every world
-// below.
+// An RMWP_AUDIT build additionally re-solves every split instance whole
+// inside ShardedSolver::run and asserts bit-equality — running this binary
+// under build-audit exercises that drift gate on every world below.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,11 +33,11 @@
 #include <memory>
 #include <vector>
 
-#include "core/baseline_rm.hpp"
+#include "admission_reference.hpp"
 #include "core/exact_rm.hpp"
 #include "core/heuristic_rm.hpp"
-#include "core/milp_rm.hpp"
 #include "core/shard.hpp"
+#include "obs/stage_timer.hpp"
 #include "platform/health.hpp"
 #include "predict/online.hpp"
 #include "serve/serve.hpp"
@@ -49,33 +49,6 @@ namespace {
 
 constexpr std::size_t kIslands = 4;
 
-/// Eight plain cores, two GPUs, one DVFS core: eleven physical resources
-/// that generate_partitioned_catalog deals round-robin into four islands
-/// (0: CPU0 CPU4 GPU0, 1: CPU1 CPU5 GPU1, 2: CPU2 CPU6 DVFS, 3: CPU3 CPU7),
-/// each with at least one CPU.  The DVFS core's operating point exercises
-/// the partition's "points join their physical core" rule.  `with_dvfs =
-/// false` drops the DVFS core (ten resources, same four islands) for the
-/// MilpRM subsample — the MILP formulation predates DVFS and rejects
-/// platforms that model it.
-Platform make_islands_platform(bool with_dvfs = true) {
-    PlatformBuilder builder;
-    for (int k = 0; k < 8; ++k) builder.add_cpu("CPU" + std::to_string(k));
-    builder.add_gpu("GPU0");
-    builder.add_gpu("GPU1");
-    if (with_dvfs) builder.add_cpu_with_dvfs({1.0, 0.5}, "DVFS");
-    return builder.build();
-}
-
-ActiveTask task_of(TaskUid uid, TaskTypeId type, double arrival_ms,
-                                 double rel_deadline_ms) {
-    ActiveTask task;
-    task.uid = uid;
-    task.type = type;
-    task.arrival = ms(arrival_ms);
-    task.absolute_deadline = ms(arrival_ms + rel_deadline_ms);
-    return task;
-}
-
 /// Randomized single-arrival world on the islands platform: assorted active
 /// tasks spread over the islands, optional injected faults (outage and
 /// throttle), a fresh candidate, and 0-2 predicted requests.
@@ -86,8 +59,8 @@ struct ShardWorld {
     std::vector<ActiveTask> active;
     ArrivalContext context;
 
-    explicit ShardWorld(std::uint64_t seed, bool with_dvfs = true)
-        : platform(make_islands_platform(with_dvfs)), catalog([&] {
+    explicit ShardWorld(std::uint64_t seed)
+        : platform(make_islands_platform()), catalog([&] {
         CatalogParams params;
         params.type_count = 16;
         Rng catalog_rng = Rng(seed).derive(1);
@@ -163,41 +136,18 @@ struct ShardWorld {
     }
 };
 
-void expect_same_decision(const Decision& a, const Decision& b, const char* what,
-                          std::uint64_t seed, std::size_t index = 0) {
-    EXPECT_EQ(a.admitted, b.admitted) << what << " seed " << seed << " item " << index;
-    EXPECT_EQ(a.used_prediction, b.used_prediction)
-        << what << " seed " << seed << " item " << index;
-    EXPECT_EQ(static_cast<int>(a.reason), static_cast<int>(b.reason))
-        << what << " seed " << seed << " item " << index;
-    ASSERT_EQ(a.assignments.size(), b.assignments.size())
-        << what << " seed " << seed << " item " << index;
-    for (std::size_t k = 0; k < a.assignments.size(); ++k) {
-        EXPECT_EQ(a.assignments[k].uid, b.assignments[k].uid)
-            << what << " seed " << seed << " item " << index;
-        EXPECT_EQ(a.assignments[k].resource, b.assignments[k].resource)
-            << what << " seed " << seed << " item " << index;
-    }
-}
-
-enum class Kind { heuristic, exact, baseline };
+using Kind = WholeInstanceRM::Solver;
 
 std::unique_ptr<ResourceManager> make_rm(Kind kind) {
-    switch (kind) {
-    case Kind::heuristic: return std::make_unique<HeuristicRM>();
-    case Kind::exact: return std::make_unique<ExactRM>();
-    case Kind::baseline: return std::make_unique<BaselineRM>();
-    }
-    return nullptr;
+    if (kind == Kind::heuristic) return std::make_unique<HeuristicRM>();
+    return std::make_unique<ExactRM>();
 }
-
-constexpr std::size_t kShardGrid[] = {1, 2, 4, 8};
 
 // ---- the differential fuzzer ----
 
 class ShardDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ShardDifferential, DecideAndBatchBitIdenticalAcrossTheConfigGrid) {
+TEST_P(ShardDifferential, DecideAndBatchBitIdenticalToTheWholeInstanceSolve) {
     const std::uint64_t seed = GetParam();
     const ShardWorld world(seed);
     Rng rng(seed ^ 0xd1ffe4e57ULL);
@@ -208,59 +158,22 @@ TEST_P(ShardDifferential, DecideAndBatchBitIdenticalAcrossTheConfigGrid) {
     for (std::size_t m = 0; m < extra; ++m) items.push_back(world.item(101 + m, rng));
     const BatchArrivalContext batch = world.batch_of(items);
 
-    for (const Kind kind : {Kind::heuristic, Kind::exact, Kind::baseline}) {
-        const std::unique_ptr<ResourceManager> reference = make_rm(kind);
-        const Decision single = reference->decide(world.context);
+    for (const Kind kind : {Kind::heuristic, Kind::exact}) {
+        WholeInstanceRM reference(kind);
+        const Decision single = reference.decide(world.context);
         std::vector<Decision> batched;
-        reference->decide_batch(batch, batched);
-        ASSERT_EQ(batched.size(), items.size()) << reference->name();
+        reference.decide_batch(batch, batched);
+        ASSERT_EQ(batched.size(), items.size()) << reference.name();
 
-        for (const std::size_t shards : kShardGrid) {
-            const std::unique_ptr<ResourceManager> sharded = make_rm(kind);
-            sharded->set_shard_config({shards, 1});
-            const Decision sharded_single = sharded->decide(world.context);
-            expect_same_decision(single, sharded_single,
-                                 (sharded->name() + " decide s" + std::to_string(shards)).c_str(),
-                                 seed);
-            std::vector<Decision> sharded_batch;
-            sharded->decide_batch(batch, sharded_batch);
-            ASSERT_EQ(sharded_batch.size(), items.size()) << sharded->name();
-            for (std::size_t m = 0; m < items.size(); ++m)
-                expect_same_decision(
-                    batched[m], sharded_batch[m],
-                    (sharded->name() + " batch s" + std::to_string(shards)).c_str(), seed, m);
-        }
-    }
-
-    // MilpRM documents *ignoring* the shard config (its solver does not
-    // decompose provably bit-identically); the subsample pins that ignoring
-    // is total — identical decisions, not a partial sharded path.  It runs
-    // on the DVFS-free islands variant because the MILP formulation rejects
-    // DVFS platforms outright.
-    if (seed % 5 == 0) {
-        ShardWorld milp_world(seed, /*with_dvfs=*/false);
-        // The MILP lookahead models at most one predicted request.
-        if (milp_world.context.predicted.size() > 1) milp_world.context.predicted.resize(1);
-        Rng milp_rng(seed ^ 0x31415926535ULL);
-        std::vector<BatchItem> milp_items;
-        milp_items.push_back({milp_world.context.candidate, milp_world.context.predicted});
-        const std::size_t milp_extra = 1 + milp_rng.index(3);
-        for (std::size_t m = 0; m < milp_extra; ++m)
-            milp_items.push_back(milp_world.item(101 + m, milp_rng));
-        const BatchArrivalContext milp_batch = milp_world.batch_of(milp_items);
-
-        MilpRM reference;
-        MilpRM sharded;
-        sharded.set_shard_config({4, 1});
-        expect_same_decision(reference.decide(milp_world.context),
-                             sharded.decide(milp_world.context), "milp decide", seed);
-        std::vector<Decision> a;
-        std::vector<Decision> b;
-        reference.decide_batch(milp_batch, a);
-        sharded.decide_batch(milp_batch, b);
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t m = 0; m < a.size(); ++m)
-            expect_same_decision(a[m], b[m], "milp batch", seed, m);
+        const std::unique_ptr<ResourceManager> rm = make_rm(kind);
+        expect_same_decision(single, rm->decide(world.context),
+                             (rm->name() + " decide").c_str(), seed);
+        std::vector<Decision> by_group;
+        rm->decide_batch(batch, by_group);
+        ASSERT_EQ(by_group.size(), items.size()) << rm->name();
+        for (std::size_t m = 0; m < items.size(); ++m)
+            expect_same_decision(batched[m], by_group[m], (rm->name() + " batch").c_str(), seed,
+                                 m);
     }
 }
 
@@ -269,13 +182,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardDifferential, ::testing::Range<std::uint64_
 // ---- directed cases ----
 
 /// Byte-identical twin islands: CPU0 and CPU1 host mirror-image task types
-/// with equal costs and equal deadlines, so every cross-bucket comparison a
-/// sequential solve could make is a tie.  The sharded path never makes
-/// those comparisons (buckets are independent); bit-identity therefore
-/// hinges on the within-bucket tie-breaks being total — exactly what the
+/// with equal costs and equal deadlines, so every cross-group comparison a
+/// whole-instance solve could make is a tie.  The per-group path never
+/// makes those comparisons (groups are independent); bit-identity therefore
+/// hinges on the within-group tie-breaks being total — exactly what the
 /// totalized sorts in ExactRM and the lowest-index picks in Algorithm 1
 /// provide.
-TEST(ShardDirected, CrossShardTieBreaksMatchSequential) {
+TEST(ShardDirected, CrossGroupTieBreaksMatchTheWholeInstanceSolve) {
     PlatformBuilder builder;
     builder.add_cpu("CPU0");
     builder.add_cpu("CPU1");
@@ -307,10 +220,9 @@ TEST(ShardDirected, CrossShardTieBreaksMatchSequential) {
     context.predicted = {PredictedTask{1, ms(5.0), ms(30.0)}}; // predicted in the *other* island
 
     for (const Kind kind : {Kind::heuristic, Kind::exact}) {
-        const std::unique_ptr<ResourceManager> reference = make_rm(kind);
+        WholeInstanceRM reference(kind);
         const std::unique_ptr<ResourceManager> sharded = make_rm(kind);
-        sharded->set_shard_config({2, 1});
-        const Decision a = reference->decide(context);
+        const Decision a = reference.decide(context);
         const Decision b = sharded->decide(context);
         expect_same_decision(a, b, sharded->name().c_str(), 0);
         // The world is feasible by construction; pin the full placement so
@@ -333,9 +245,9 @@ TEST(ShardDirected, CrossShardTieBreaksMatchSequential) {
 
 /// The degenerate partition: on the motivational platform every type can
 /// reach every resource, so the executability graph is one connected
-/// component — shards = 8 must fold to a single bucket and reproduce the
-/// sequential path exactly (it *is* the sequential solve, plus the fold).
-TEST(ShardDirected, SingleGroupPartitionFoldsToOneBucket) {
+/// component — the RMs must solve the whole instance in place, never
+/// entering shard_solve, and reproduce the reference exactly.
+TEST(ShardDirected, OneGroupPlatformNeverEntersShardSolve) {
     for (std::uint64_t seed = 0; seed < 20; ++seed) {
         const Platform platform = make_motivational_platform();
         CatalogParams params;
@@ -346,7 +258,8 @@ TEST(ShardDirected, SingleGroupPartitionFoldsToOneBucket) {
         ShardPartition partition;
         partition.rebuild(platform, catalog);
         ASSERT_EQ(partition.group_count(), 1u);
-        ASSERT_EQ(partition.bucket_count(8), 1u);
+        for (const Resource& resource : platform.resources())
+            EXPECT_EQ(partition.group_of(resource.id()), 0u);
 
         Rng rng(seed);
         std::vector<ActiveTask> active;
@@ -365,15 +278,70 @@ TEST(ShardDirected, SingleGroupPartitionFoldsToOneBucket) {
         context.catalog = &catalog;
         context.active = active;
         context.candidate = task_of(100, rng.index(catalog.size()), 5.0, rng.uniform(8.0, 90.0));
+        const std::vector<BatchItem> items = {{context.candidate, {}},
+                                              {task_of(101, rng.index(catalog.size()), 5.0,
+                                                       rng.uniform(8.0, 90.0)),
+                                               {}}};
+        BatchArrivalContext batch;
+        batch.now = context.now;
+        batch.platform = &platform;
+        batch.catalog = &catalog;
+        batch.active = active;
+        batch.items = items;
 
         for (const Kind kind : {Kind::heuristic, Kind::exact}) {
-            const std::unique_ptr<ResourceManager> reference = make_rm(kind);
-            const std::unique_ptr<ResourceManager> sharded = make_rm(kind);
-            sharded->set_shard_config({8, 1});
-            expect_same_decision(reference->decide(context), sharded->decide(context),
-                                 sharded->name().c_str(), seed);
+            WholeInstanceRM reference(kind);
+            const std::unique_ptr<ResourceManager> rm = make_rm(kind);
+            obs::StageStats stats;
+            Decision single;
+            std::vector<Decision> batched;
+            {
+#ifdef RMWP_OBS
+                const obs::StageStatsScope scope(&stats);
+#endif
+                single = rm->decide(context);
+                rm->decide_batch(batch, batched);
+            }
+            expect_same_decision(reference.decide(context), single, rm->name().c_str(), seed);
+            std::vector<Decision> expected;
+            reference.decide_batch(batch, expected);
+            ASSERT_EQ(batched.size(), expected.size());
+            for (std::size_t m = 0; m < expected.size(); ++m)
+                expect_same_decision(expected[m], batched[m], rm->name().c_str(), seed, m);
+#ifdef RMWP_OBS
+            EXPECT_GT(stats.cell(obs::Stage::solve).calls, 0u) << rm->name();
+#endif
+            EXPECT_EQ(stats.cell(obs::Stage::shard_solve).calls, 0u) << rm->name();
+            EXPECT_EQ(stats.cell(obs::Stage::shard_merge).calls, 0u) << rm->name();
         }
     }
+}
+
+/// Node budgets bind per solve, so once the exact search runs out of nodes
+/// the per-group decision may differ from the whole-instance one
+/// (DESIGN.md §15).  decide() and decide_batch() decompose the same way,
+/// so a one-item batch must still reproduce decide() exactly.
+TEST(ShardDirected, ExactDecideEqualsBatchOfOneWhenTheNodeBudgetBinds) {
+    ExactRM::Options options;
+    options.node_limit = 6;
+    std::size_t bound_worlds = 0;
+    for (std::uint64_t seed = 0; seed < 60; ++seed) {
+        const ShardWorld world(seed);
+        const PlanInstance whole = PlanInstance::build(world.context, world.context.predicted.size());
+        bool proven = true;
+        (void)ExactRM::optimize(whole, options, &proven);
+        if (proven) continue; // the budget does not bind on this world
+        ++bound_worlds;
+
+        ExactRM rm(options);
+        const Decision single = rm.decide(world.context);
+        const std::vector<BatchItem> items = {{world.context.candidate, world.context.predicted}};
+        std::vector<Decision> batched;
+        rm.decide_batch(world.batch_of(items), batched);
+        ASSERT_EQ(batched.size(), 1u);
+        expect_same_decision(single, batched.front(), "exact budget-bound", seed);
+    }
+    EXPECT_GT(bound_worlds, 0u);
 }
 
 // ---- partition properties ----
@@ -406,15 +374,6 @@ TEST(ShardPartitionProperty, GroupsAreTheExecutabilityComponents) {
     for (const Resource& resource : platform.resources())
         EXPECT_EQ(partition.group_of(resource.id()), partition.group_of(resource.physical()));
 
-    // Bucket folding rules: the cap clamps at group_count, a zero cap acts
-    // as one, and folding is plain modulo over dense group ids.
-    EXPECT_EQ(partition.bucket_count(1), 1u);
-    EXPECT_EQ(partition.bucket_count(3), 3u);
-    EXPECT_EQ(partition.bucket_count(8), kIslands);
-    EXPECT_EQ(partition.bucket_count(0), 1u);
-    for (const Resource& resource : platform.resources())
-        EXPECT_EQ(partition.bucket_of_resource(resource.id(), 3),
-                  partition.group_of(resource.id()) % 3);
 }
 
 TEST(ShardPartitionProperty, RebuildIsDeterministicAndReusable) {
@@ -450,7 +409,7 @@ TEST(ShardPartitionProperty, RebuildIsDeterministicAndReusable) {
     for (std::size_t g = 1; g < first_of.size(); ++g) EXPECT_LT(first_of[g - 1], first_of[g]);
 }
 
-// ---- demand-order properties (the ground the per-bucket probes stand on) ----
+// ---- demand-order properties (the ground the per-group probes stand on) ----
 
 std::vector<ScheduleItem> random_items(std::uint64_t seed, std::size_t count) {
     // Coarse value grids force plenty of deadline/release ties, so the uid
@@ -469,7 +428,7 @@ std::vector<ScheduleItem> random_items(std::uint64_t seed, std::size_t count) {
     return items;
 }
 
-TEST(DemandOrderProperty, TotalOrderSurvivesShardSplitAndMerge) {
+TEST(DemandOrderProperty, TotalOrderSurvivesGroupSplitAndMerge) {
     for (std::uint64_t seed = 0; seed < 50; ++seed) {
         std::vector<ScheduleItem> items = random_items(seed, 64);
 
@@ -485,16 +444,16 @@ TEST(DemandOrderProperty, TotalOrderSurvivesShardSplitAndMerge) {
         std::vector<ScheduleItem> full = items;
         std::sort(full.begin(), full.end(), demand_order);
 
-        // Split into 4 "shards" by an arbitrary key, sort each, then merge:
+        // Split into 4 "groups" by an arbitrary key, sort each, then merge:
         // the result must be the full sort, element for element — the exact
-        // shape of a per-bucket sorted state re-unified by the merge.
-        std::vector<std::vector<ScheduleItem>> shards(4);
-        for (const ScheduleItem& item : items) shards[item.uid % 4].push_back(item);
+        // shape of a per-group sorted state re-unified by the merge.
+        std::vector<std::vector<ScheduleItem>> groups(4);
+        for (const ScheduleItem& item : items) groups[item.uid % 4].push_back(item);
         std::vector<ScheduleItem> merged;
-        for (std::vector<ScheduleItem>& shard : shards) {
-            std::sort(shard.begin(), shard.end(), demand_order);
+        for (std::vector<ScheduleItem>& group : groups) {
+            std::sort(group.begin(), group.end(), demand_order);
             std::vector<ScheduleItem> next;
-            std::merge(merged.begin(), merged.end(), shard.begin(), shard.end(),
+            std::merge(merged.begin(), merged.end(), group.begin(), group.end(),
                        std::back_inserter(next), demand_order);
             merged = std::move(next);
         }
@@ -545,8 +504,8 @@ void expect_same_trace(const TraceResult& a, const TraceResult& b) {
     EXPECT_EQ(a.rescue_migrations, b.rescue_migrations);
 }
 
-TEST(ShardServe, ShardedServiceIsBitIdenticalAndRecordsMergedLatency) {
-    const auto run_once = [](const ShardConfig& shard, obs::StageStats* stats) {
+TEST(ShardServe, PerGroupServiceIsBitIdenticalAndRecordsMergedLatency) {
+    const auto run_once = [](ResourceManager& rm, obs::StageStats* stats) {
         const Platform platform = make_islands_platform();
         CatalogParams params;
         params.type_count = 16;
@@ -556,8 +515,6 @@ TEST(ShardServe, ShardedServiceIsBitIdenticalAndRecordsMergedLatency) {
         SyntheticSourceParams source_params;
         source_params.seed = 9;
         SyntheticArrivalSource source(catalog, source_params);
-        HeuristicRM rm;
-        rm.set_shard_config(shard);
         OnlinePredictor predictor(catalog);
         ServeConfig config;
         config.monitor = false;
@@ -573,24 +530,26 @@ TEST(ShardServe, ShardedServiceIsBitIdenticalAndRecordsMergedLatency) {
     };
 
     obs::StageStats stats;
-    const ServeResult sequential = run_once({1, 1}, nullptr);
-    const ServeResult sharded = run_once({4, 1}, &stats);
+    WholeInstanceRM reference(Kind::heuristic);
+    HeuristicRM rm;
+    const ServeResult whole = run_once(reference, nullptr);
+    const ServeResult by_group = run_once(rm, &stats);
 
-    EXPECT_EQ(sequential.exit_code, 0);
-    EXPECT_EQ(sharded.exit_code, 0);
-    EXPECT_EQ(sequential.arrivals, sharded.arrivals);
-    EXPECT_EQ(sequential.shed, sharded.shed);
-    expect_same_trace(sequential.result, sharded.result);
-    EXPECT_GT(sharded.result.rescue_activations + sharded.result.throttle_events, 0u);
+    EXPECT_EQ(whole.exit_code, 0);
+    EXPECT_EQ(by_group.exit_code, 0);
+    EXPECT_EQ(whole.arrivals, by_group.arrivals);
+    EXPECT_EQ(whole.shed, by_group.shed);
+    expect_same_trace(whole.result, by_group.result);
+    EXPECT_GT(by_group.result.rescue_activations + by_group.result.throttle_events, 0u);
     // The online predictor scores itself identically along both paths.
-    EXPECT_GT(sequential.predictor_predictions, 0u);
-    EXPECT_EQ(sequential.predictor_predictions, sharded.predictor_predictions);
-    EXPECT_EQ(sequential.predictor_hits, sharded.predictor_hits);
+    EXPECT_GT(whole.predictor_predictions, 0u);
+    EXPECT_EQ(whole.predictor_predictions, by_group.predictor_predictions);
+    EXPECT_EQ(whole.predictor_hits, by_group.predictor_hits);
 
-    // The latency HDR records after the cross-shard merge — every quantile
+    // The latency HDR records after the cross-group merge — every quantile
     // covers whole decisions, so the ladder of quantiles is monotone and
     // strictly positive on both paths.
-    for (const ServeResult* run : {&sequential, &sharded}) {
+    for (const ServeResult* run : {&whole, &by_group}) {
         EXPECT_GT(run->latency_p50_us, 0.0);
         EXPECT_LE(run->latency_p50_us, run->latency_p90_us);
         EXPECT_LE(run->latency_p90_us, run->latency_p99_us);
@@ -598,7 +557,7 @@ TEST(ShardServe, ShardedServiceIsBitIdenticalAndRecordsMergedLatency) {
     }
 
 #ifdef RMWP_OBS
-    // Shard stage attribution lands on the engine thread, where serve's
+    // Per-group stage attribution lands on the engine thread, where serve's
     // StageStatsScope is installed.
     EXPECT_GT(stats.cell(obs::Stage::shard_solve).calls, 0u);
     EXPECT_GT(stats.cell(obs::Stage::shard_merge).calls, 0u);

@@ -63,11 +63,6 @@
 //                                                   whose wakes fall within T
 //                                                   sim-ms into one batched
 //                                                   decision; negative = off)
-//                             [--shards N]         (partition each decision
-//                                                   by resource group into
-//                                                   up to N solve buckets —
-//                                                   bit-identical decisions
-//                                                   at any N; default 1)
 //                             [--window T]         (one stats line per T
 //                                                   sim-ms window, to stderr)
 //                             [--checkpoint path] [--checkpoint-every N]
@@ -486,16 +481,6 @@ int cmd_serve(Args& args) {
     else if (rm_name == "milp") rm = std::make_unique<MilpRM>();
     else if (rm_name == "baseline") rm = std::make_unique<BaselineRM>();
     else throw std::runtime_error("--rm must be heuristic, exact, milp, or baseline");
-
-    // Sharded admission (DESIGN.md §15).  Configured once, here, before the
-    // RM is handed to the engine — never mid-serve.  Decisions are
-    // bit-identical at any shard count; baseline and milp accept but
-    // ignore the flag.
-    const std::int64_t shards_arg = args.integer("shards", 1);
-    if (shards_arg < 1) throw std::runtime_error("--shards must be >= 1");
-    ShardConfig shard;
-    shard.shards = static_cast<std::size_t>(shards_arg);
-    rm->set_shard_config(shard);
 
     PredictorSpec spec;
     const std::string predictor_name = args.get("predictor").value_or("off");
